@@ -13,25 +13,23 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc --no-deps (warnings denied)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
+echo "==> cargo doc --workspace --no-deps (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> cargo build --release (offline-capable)"
 cargo build --release
 
-echo "==> cargo test -q (root workspace: units, integration, properties)"
+echo "==> cargo test -q (every workspace member: units, integration, properties)"
+# Includes tests/chaos.rs on its baked-in seeds (0xC0FFEE, 0xDEADBEEF, 42).
 cargo test -q
-
-echo "==> chaos suite (seeded fault injection; deterministic per seed)"
-cargo test -q --test chaos
 
 echo "==> chaos seed matrix (extra seeds beyond the baked-in trio)"
 # Covers every scenario in tests/chaos.rs, including the fragmentation
 # run (loss + duplication + reordering over multi-fragment events).
-for s in ${CHAOS_SEEDS:-1 7 42}; do
+for s in ${CHAOS_SEEDS:-1 7}; do
     echo "    CHAOS_SEED=$s cargo test -q --test chaos"
     CHAOS_SEED="$s" cargo test -q --test chaos
 done
@@ -42,10 +40,15 @@ for ex in quickstart stats_dump echo_evolution trace_dump failover qos_telemetry
     cargo run -q --release --example "$ex" >/dev/null
 done
 
-echo "==> warm-engine bench (smoke mode; writes BENCH_9.json)"
-# Fails if the fused warm path is slower than the staged oracle, or if
-# the register engine is below 2x over the fused stack engine — both
-# gates run offline, without the criterion harness.
+echo "==> end-to-end correctness smoke (perfbench, format_churn, 2 s)"
+# One writer revision every 8 events keeps Algorithm 2's cold path (match,
+# compile, compose) busy; the run exits non-zero on any wrong delivery.
+cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload format_churn --seed 1 --seconds 2 --trace 0 >/dev/null
+
+echo "==> warm-path bench (smoke mode; writes BENCH_9.json)"
+# Fails if the fused warm path is slower than staged; the gate runs
+# offline, without the criterion harness.
 cargo run -q --release --example fused_bench >/dev/null
 cat BENCH_9.json
 

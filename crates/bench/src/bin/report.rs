@@ -391,23 +391,18 @@ fn vm() {
             step.from_format().name(),
             step.to_format().name()
         );
-        println!(
-            "   stack ISA: {} insns; register ISA: {} insns",
-            prog.code().len(),
-            prog.rcode().len()
-        );
-        print!("{}", ecode::dump::register(prog.rcode()));
+        println!("   {} insns", prog.code().len());
+        print!("{}", ecode::dump::register(prog.code()));
     }
 
     let fused = compiled.fuse().expect("chain fuses");
     println!("\n-- fused: one register-VM pass over the whole chain ------------");
     println!(
-        "   stack ISA: {} insns; register ISA: {} insns (per-step Ret becomes a jump to the next step)",
-        fused.code().len(),
-        fused.rcode().len()
+        "   {} insns (per-step Ret becomes a jump to the next step)",
+        fused.code().len()
     );
-    print!("{}", ecode::dump::register(fused.rcode()));
-    println!("\n  (stack-ISA oracle listing: ecode::dump::stack; see also: cargo run --example vm_dump)");
+    print!("{}", ecode::dump::register(fused.code()));
+    println!("\n  (see also: cargo run --example vm_dump)");
 }
 
 fn main() {

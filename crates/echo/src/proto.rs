@@ -601,6 +601,18 @@ mod tests {
         ]
     }
 
+    /// The fused Fig. 5 rollback reads every v2.0 field and writes every
+    /// v1.0 field, so its projected decode keeps the whole response.
+    #[test]
+    fn fig5_rollback_uses_every_field() {
+        let chain = morph::CompiledChain::compile(&[response_retro_transformation()]).unwrap();
+        let fused = chain.fuse().unwrap();
+        let n_v2 = channel_open_response_v2().fields().len();
+        let n_v1 = channel_open_response_v1().fields().len();
+        assert_eq!(ecode::root_used_fields(fused.code(), 0, n_v2), vec![true; n_v2]);
+        assert_eq!(ecode::root_used_fields(fused.code(), 1, n_v1), vec![true; n_v1]);
+    }
+
     #[test]
     fn response_values_conform_to_formats() {
         response_v1_value(ChannelId(7), &members()).check(&channel_open_response_v1()).unwrap();

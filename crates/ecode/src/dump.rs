@@ -1,17 +1,11 @@
-//! Human-readable bytecode listings for both ISAs.
+//! Human-readable bytecode listings.
 //!
-//! Thin façade over the `disassemble` methods so tooling (the `report -- vm`
+//! Thin façade over [`RCode::disassemble`] so tooling (the `report -- vm`
 //! subcommand, the `vm_dump` example) has one stable import point.
 
-use crate::bytecode::{Code, RCode};
+use crate::bytecode::RCode;
 
-/// Renders a stack-ISA program as an annotated listing, one instruction per
-/// line, with a header summarising its footprint.
-pub fn stack(code: &Code) -> String {
-    code.disassemble()
-}
-
-/// Renders a register-ISA program as an annotated listing — superinstructions
+/// Renders a register program as an annotated listing — superinstructions
 /// (`CopyPath`, `BatchCopy`) print with their full path operands.
 pub fn register(code: &RCode) -> String {
     code.disassemble()
@@ -28,25 +22,20 @@ mod tests {
     }
 
     #[test]
-    fn both_listings_cover_every_instruction() {
+    fn listing_covers_every_instruction() {
         let prog = compile("new.a = old.a + old.b; new.b = old.b * 2;");
-        let s = super::stack(prog.code());
-        let r = super::register(prog.rcode());
-        // Every instruction index appears in its listing.
+        let r = super::register(prog.code());
+        // Every instruction index appears in the listing.
         for i in 0..prog.code().len() {
-            assert!(s.contains(&format!("{i:4} ")), "stack listing missing insn {i}:\n{s}");
+            assert!(r.contains(&format!("{i:4} ")), "listing missing insn {i}:\n{r}");
         }
-        for i in 0..prog.rcode().len() {
-            assert!(r.contains(&format!("{i:4} ")), "register listing missing insn {i}:\n{r}");
-        }
-        assert!(s.starts_with("; "), "stack header: {s}");
-        assert!(r.starts_with("; register ISA:"), "register header: {r}");
+        assert!(r.starts_with("; register ISA:"), "header: {r}");
     }
 
     #[test]
     fn register_listing_shows_copy_superinstruction() {
         let prog = compile("new.a = old.b;");
-        let r = super::register(prog.rcode());
+        let r = super::register(prog.code());
         assert!(r.contains("CopyPath"), "whole-field copy should fuse:\n{r}");
     }
 }

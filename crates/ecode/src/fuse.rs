@@ -1,5 +1,5 @@
 //! Chain fusion: compile a whole retro-transformation chain into **one**
-//! bytecode program.
+//! register program.
 //!
 //! A staged morph runs each chain step as its own VM invocation, with a
 //! freshly-allocated intermediate `Value` tree between steps. Fusion inlines
@@ -7,9 +7,9 @@
 //! fused program binds `m + 1` roots — the incoming message plus one output
 //! record per step — and threads them through, so a warm morph is one VM
 //! entry with no per-step dispatch. Between inlined bodies a
-//! [`Insn::SyncRoot`] re-establishes the length-field invariant exactly
+//! [`RInsn::SyncRoot`] re-establishes the length-field invariant exactly
 //! where the staged path called [`pbio::sync_length_fields`], keeping the
-//! fused result `Value`-identical to the staged oracle (differentially
+//! fused result `Value`-identical to the staged path (differentially
 //! tested in `tests/proptests.rs`).
 //!
 //! The rewrite is purely mechanical, which is what makes it safe:
@@ -18,40 +18,31 @@
 //!   shifted by each step's placement offset;
 //! * root indices shift by the step's position (step *i* reads root *i*,
 //!   writes root *i + 1*);
-//! * *main-body* local slots shift by the sum of preceding steps' main
-//!   locals (function locals are frame-relative and need no shift);
-//! * *main-body* `RetVal`/`RetVoid` become jumps to the step's trailer
-//!   (`RetVal` through a `Pop` — the staged path ignores step return
-//!   values); function-body returns are untouched, they pop call frames.
+//! * *main-body* registers rebase by the sum of preceding steps' main
+//!   frames (function frames are window-relative and need no shift);
+//! * *main-body* returns become jumps to the step's `SyncRoot` trailer (a
+//!   return value simply stays in its register — the staged path ignores
+//!   step return values); function-body returns are untouched, they pop
+//!   call frames.
 
 use pbio::format_id;
 
-use crate::bytecode::{map_registers, CSeg, Code, FnCode, Insn, RCode, RFnCode, RInsn};
+use crate::bytecode::{map_registers, CSeg, RCode, RFnCode, RInsn};
 use crate::error::{EcodeError, Result};
 use crate::rvm::{self, RunStats};
 use crate::tast::Binding;
-use crate::vm;
 use crate::EcodeProgram;
 use pbio::Value;
 
-/// A transformation chain compiled into a single VM program.
+/// A transformation chain compiled into a single register program.
 ///
-/// Build with [`FusedProgram::compose`]; execute with [`FusedProgram::run`]
-/// against `m + 1` roots (incoming message first, then one default record
-/// per step's target format, in chain order). On return, the last root holds
-/// the final morphed value.
-///
-/// Composition produces *both* ISAs: the stack stream (the oracle,
-/// [`FusedProgram::run`]) and the register stream
-/// ([`FusedProgram::run_register`], the production engine). The register
-/// rewrite follows the same offset rules, with two differences: main-body
-/// *registers* rebase by the sum of preceding steps' main frames (function
-/// frames are window-relative and need no shift), and the step trailer is a
-/// bare `SyncRoot` — a register return value needs no `Pop`.
+/// Build with [`FusedProgram::compose`]; execute with
+/// [`FusedProgram::run_register`] against `m + 1` roots (incoming message
+/// first, then one default record per step's target format, in chain
+/// order). On return, the last root holds the final morphed value.
 #[derive(Debug, Clone)]
 pub struct FusedProgram {
-    code: Code,
-    rcode: RCode,
+    code: RCode,
     bindings: Vec<Binding>,
 }
 
@@ -91,78 +82,6 @@ impl FusedProgram {
             }
         }
 
-        let mut insns: Vec<Insn> = Vec::new();
-        let mut strings: Vec<String> = Vec::new();
-        let mut funcs: Vec<FnCode> = Vec::new();
-        let mut local_base: u32 = 0;
-        let last = steps.len() - 1;
-
-        for (i, p) in steps.iter().enumerate() {
-            let code = p.code();
-            let off = insns.len() as u32;
-            let string_base = strings.len() as u32;
-            let func_base = funcs.len() as u32;
-            // Everything before the first function entry is the main body
-            // (the compiler lays out main first, terminated by `RetVoid`).
-            let main_end =
-                code.funcs.iter().map(|f| f.entry as usize).min().unwrap_or(code.insns.len());
-            let tail_pop = off + code.insns.len() as u32;
-            let tail = tail_pop + 1;
-
-            for (pc, insn) in code.insns.iter().enumerate() {
-                let in_main = pc < main_end;
-                insns.push(match insn {
-                    Insn::Jmp(t) => Insn::Jmp(t + off),
-                    Insn::Jz(t) => Insn::Jz(t + off),
-                    Insn::Jnz(t) => Insn::Jnz(t + off),
-                    Insn::ConstS(s) => Insn::ConstS(s + string_base),
-                    Insn::CallFn(f) => Insn::CallFn(f + func_base),
-                    Insn::LoadLocal(slot) if in_main => Insn::LoadLocal(slot + local_base),
-                    Insn::StoreLocal(slot) if in_main => Insn::StoreLocal(slot + local_base),
-                    Insn::Load { root, n_idx, segs } => {
-                        Insn::Load { root: root + i as u8, n_idx: *n_idx, segs: segs.clone() }
-                    }
-                    Insn::Store { root, n_idx, segs } => {
-                        Insn::Store { root: root + i as u8, n_idx: *n_idx, segs: segs.clone() }
-                    }
-                    Insn::LenOf { root, n_idx, segs } => {
-                        Insn::LenOf { root: root + i as u8, n_idx: *n_idx, segs: segs.clone() }
-                    }
-                    Insn::RetVal if in_main => Insn::Jmp(tail_pop),
-                    Insn::RetVoid if in_main => Insn::Jmp(tail),
-                    other => other.clone(),
-                });
-            }
-            // Step trailer: discard a main-body `return` value, then restore
-            // the output root's length-field invariant. Non-last steps fall
-            // straight through into the next step's body.
-            insns.push(Insn::Pop);
-            insns.push(Insn::SyncRoot((i + 1) as u8));
-            if i == last {
-                insns.push(Insn::RetVoid);
-            }
-
-            strings.extend(code.strings.iter().cloned());
-            funcs.extend(code.funcs.iter().map(|f| FnCode { entry: f.entry + off, ..*f }));
-            local_base += code.n_locals as u32;
-        }
-
-        let mut bindings = Vec::with_capacity(steps.len() + 1);
-        bindings.push(steps[0].bindings()[0].clone());
-        for p in steps {
-            bindings.push(p.bindings()[1].clone());
-        }
-
-        let code =
-            Code { insns, strings, n_locals: local_base as usize, n_roots: bindings.len(), funcs };
-        let rcode = Self::compose_register(steps, bindings.len());
-        Ok(FusedProgram { code, rcode, bindings })
-    }
-
-    /// Builds the fused register stream. Same step layout as the stack
-    /// compose (already validated): body, then a `SyncRoot(i + 1)` trailer
-    /// each step falls through (or jumps, on a main-body return) into.
-    fn compose_register(steps: &[&EcodeProgram], n_roots: usize) -> RCode {
         let mut insns: Vec<RInsn> = Vec::new();
         let mut strings: Vec<String> = Vec::new();
         let mut funcs: Vec<RFnCode> = Vec::new();
@@ -170,15 +89,16 @@ impl FusedProgram {
         let last = steps.len() - 1;
 
         for (i, p) in steps.iter().enumerate() {
-            let rc = p.rcode();
+            let rc = p.code();
             let off = insns.len() as u32;
             let string_base = strings.len() as u32;
             let func_base = funcs.len() as u32;
+            // Everything before the first function entry is the main body
+            // (lowering lays out main first).
             let main_end =
                 rc.funcs.iter().map(|f| f.entry as usize).min().unwrap_or(rc.insns.len());
             // The trailer sits right after the step's body; main-body
-            // returns jump to it (any return value simply stays in its
-            // register — no stack to unwind).
+            // returns jump to it.
             let tail = off + rc.insns.len() as u32;
 
             for (pc, insn) in rc.insns.iter().enumerate() {
@@ -255,40 +175,26 @@ impl FusedProgram {
             reg_base += rc.n_regs as u32;
         }
 
-        RCode { insns, strings, n_regs: reg_base as usize, n_roots, funcs }
+        let mut bindings = Vec::with_capacity(steps.len() + 1);
+        bindings.push(steps[0].bindings()[0].clone());
+        for p in steps {
+            bindings.push(p.bindings()[1].clone());
+        }
+        let code =
+            RCode { insns, strings, n_regs: reg_base as usize, n_roots: bindings.len(), funcs };
+        Ok(FusedProgram { code, bindings })
     }
 
-    /// Executes the fused chain. `roots` must hold the incoming message
-    /// followed by one default record per step's target format; the last
-    /// root receives the final value.
+    /// Executes the fused chain — one register-VM pass wire-roots → final
+    /// `Value`. `roots` must hold the incoming message followed by one
+    /// default record per step's target format; the last root receives the
+    /// final value. Returns batch-superinstruction statistics.
     ///
     /// # Errors
     ///
     /// As [`EcodeProgram::run`].
-    pub fn run(&self, roots: &mut [Value]) -> Result<()> {
-        vm::run(&self.code, &self.bindings, roots)?;
-        Ok(())
-    }
-
-    /// [`FusedProgram::run`] with an instruction budget.
-    ///
-    /// # Errors
-    ///
-    /// As [`FusedProgram::run`], plus fuel exhaustion.
-    pub fn run_with_fuel(&self, roots: &mut [Value], fuel: u64) -> Result<()> {
-        vm::run_with_fuel(&self.code, &self.bindings, roots, fuel)?;
-        Ok(())
-    }
-
-    /// Executes the fused chain on the register VM — one register-VM pass
-    /// wire-roots → final `Value`. Returns batch-superinstruction
-    /// statistics. Differentially tested against [`FusedProgram::run`].
-    ///
-    /// # Errors
-    ///
-    /// As [`FusedProgram::run`].
     pub fn run_register(&self, roots: &mut [Value]) -> Result<RunStats> {
-        let (_, stats) = rvm::run(&self.rcode, &self.bindings, roots)?;
+        let (_, stats) = rvm::run(&self.code, &self.bindings, roots)?;
         Ok(stats)
     }
 
@@ -298,18 +204,13 @@ impl FusedProgram {
     ///
     /// As [`FusedProgram::run_register`], plus fuel exhaustion.
     pub fn run_register_with_fuel(&self, roots: &mut [Value], fuel: u64) -> Result<RunStats> {
-        let (_, stats) = rvm::run_with_fuel(&self.rcode, &self.bindings, roots, fuel)?;
+        let (_, stats) = rvm::run_with_fuel(&self.code, &self.bindings, roots, fuel)?;
         Ok(stats)
     }
 
-    /// The fused bytecode (inspection/metrics).
-    pub fn code(&self) -> &Code {
-        &self.code
-    }
-
     /// The fused register bytecode (inspection/metrics).
-    pub fn rcode(&self) -> &RCode {
-        &self.rcode
+    pub fn code(&self) -> &RCode {
+        &self.code
     }
 
     /// The fused root bindings: incoming message, then one per step.
@@ -324,30 +225,36 @@ impl FusedProgram {
 }
 
 /// Scans `code` for the top-level fields of root `root` that it actually
-/// reads or writes, returning a mask over `n_fields` entries. Conservative:
-/// any access whose path does not start with a static field descent marks
-/// every field used.
+/// reads or writes, returning a mask over `n_fields` entries. Both paths of
+/// a `CopyPath` or `BatchCopy` count. Conservative: any access whose path
+/// does not start with a static field descent marks every field used.
 ///
 /// This feeds the projected decode of a fused morph plan: fields the chain
 /// never touches are parsed but not materialized.
-pub fn root_used_fields(code: &Code, root: u8, n_fields: usize) -> Vec<bool> {
+pub fn root_used_fields(code: &RCode, root: u8, n_fields: usize) -> Vec<bool> {
     let mut used = vec![false; n_fields];
     for insn in &code.insns {
-        let (r, segs) = match insn {
-            Insn::Load { root: r, segs, .. }
-            | Insn::Store { root: r, segs, .. }
-            | Insn::LenOf { root: r, segs, .. } => (*r, segs),
+        let paths: [Option<(u8, &[CSeg])>; 2] = match insn {
+            RInsn::Load { root, segs, .. }
+            | RInsn::Store { root, segs, .. }
+            | RInsn::LenOf { root, segs, .. } => [Some((*root, segs)), None],
+            RInsn::CopyPath { src_root, src_segs, dst_root, dst_segs, .. }
+            | RInsn::BatchCopy { src_root, src_segs, dst_root, dst_segs, .. } => {
+                [Some((*src_root, src_segs)), Some((*dst_root, dst_segs))]
+            }
             _ => continue,
         };
-        if r != root {
-            continue;
-        }
-        match segs.first() {
-            Some(CSeg::Field(i)) if (*i as usize) < n_fields => used[*i as usize] = true,
-            _ => {
-                // Whole-root or dynamic access: give up field precision.
-                used.iter_mut().for_each(|u| *u = true);
-                return used;
+        for (r, segs) in paths.into_iter().flatten() {
+            if r != root {
+                continue;
+            }
+            match segs.first() {
+                Some(CSeg::Field(i)) if (*i as usize) < n_fields => used[*i as usize] = true,
+                _ => {
+                    // Whole-root or dynamic access: give up field precision.
+                    used.iter_mut().for_each(|u| *u = true);
+                    return used;
+                }
             }
         }
     }
@@ -374,32 +281,28 @@ mod tests {
         EcodeCompiler::new().bind_input("new", from).bind_output("old", to).compile(src).unwrap()
     }
 
-    /// Staged oracle: run each step on its own, syncing between steps.
+    /// Reference: run each step on its own on the interpreter, syncing
+    /// between steps.
     fn staged(steps: &[&EcodeProgram], input: &Value) -> Value {
         let mut v = input.clone();
         for p in steps {
             let to = &p.bindings()[1].format;
             let mut roots = vec![v, Value::default_record(to)];
-            p.run(&mut roots).unwrap();
+            p.run_interp(&mut roots).unwrap();
             v = roots.pop().unwrap();
             pbio::sync_length_fields(&mut v, to);
         }
         v
     }
 
-    /// Runs the fused chain on both engines, asserting the register VM
-    /// matches the stack VM on every intermediate root, then returns the
-    /// final value.
+    /// Runs the fused chain and returns the final value.
     fn fused(steps: &[&EcodeProgram], input: &Value) -> Value {
         let fp = FusedProgram::compose(steps).unwrap();
         let mut roots = vec![input.clone()];
         for p in steps {
             roots.push(Value::default_record(&p.bindings()[1].format));
         }
-        let mut reg_roots = roots.clone();
-        fp.run(&mut roots).unwrap();
-        fp.run_register(&mut reg_roots).unwrap();
-        assert_eq!(roots, reg_roots, "fused stack/register divergence");
+        fp.run_register(&mut roots).unwrap();
         roots.pop().unwrap()
     }
 
@@ -517,8 +420,6 @@ mod tests {
         let s1 = step(&a, &b, "while (1) {}");
         let fp = FusedProgram::compose(&[&s1]).unwrap();
         let mut roots = vec![Value::Record(vec![Value::Int(1)]), Value::default_record(&b)];
-        assert!(fp.run_with_fuel(&mut roots, 1_000).is_err());
-        let mut roots = vec![Value::Record(vec![Value::Int(1)]), Value::default_record(&b)];
         assert!(fp.run_register_with_fuel(&mut roots, 1_000).is_err());
     }
 
@@ -585,5 +486,144 @@ mod tests {
         let fp = FusedProgram::compose(&[&s1]).unwrap();
         // `n` and `junk` are never touched; `items` is read via len + index.
         assert_eq!(root_used_fields(fp.code(), 0, 3), vec![false, true, false]);
+    }
+
+    /// Field masks over every root of every chain in this module, plus a
+    /// lone `CopyPath` and a lone `BatchCopy` reading root 0. A wider mask
+    /// would make projected decode materialize fields no step reads.
+    #[test]
+    fn used_field_masks_are_stable_across_chain_shapes() {
+        let member = FormatBuilder::record("E").int("ID").build_arc().unwrap();
+        let items = |extra: Option<&str>| {
+            let b = FormatBuilder::record("M").int("n").var_array_of("items", member.clone(), "n");
+            match extra {
+                Some(name) => b.string(name),
+                None => b,
+            }
+            .build_arc()
+            .unwrap()
+        };
+        let vals = || {
+            FormatBuilder::record("M")
+                .int("n")
+                .var_array_basic("vals", pbio::BasicType::Int(pbio::Width::W8), "n")
+                .string("junk")
+                .build_arc()
+                .unwrap()
+        };
+        let (x, y, z) = (fmt("M", &["x"]), fmt("M", &["y"]), fmt("M", &["z"]));
+        let (xy, sum, twice) = (fmt("M", &["x", "y"]), fmt("M", &["sum"]), fmt("M", &["twice"]));
+        let (xyz, out, total) =
+            (fmt("M", &["x", "y", "z"]), fmt("M", &["out"]), fmt("M", &["total"]));
+        let (ia, ib, ij) = (items(None), items(None), items(Some("junk")));
+        let (va, vb) = (vals(), vals());
+        let loop_copy =
+            "int i; old.n = new.n; for (i = 0; i < new.n; i++) old.vals[i] = new.vals[i];";
+        let cases: Vec<(Vec<EcodeProgram>, Vec<Vec<bool>>)> = vec![
+            (
+                vec![
+                    step(&xy, &sum, "old.sum = new.x + new.y;"),
+                    step(&sum, &twice, "old.twice = new.sum * 2;"),
+                ],
+                vec![vec![true, true], vec![true], vec![true]],
+            ),
+            (
+                vec![
+                    step(&x, &y, "old.y = new.x; if (new.x > 0) return 1; old.y = -1;"),
+                    step(
+                        &y,
+                        &z,
+                        "int bump(int v) { old.z = v + 1; return v; } \
+                         int t = bump(new.y); t = bump(t + 10);",
+                    ),
+                ],
+                vec![vec![true], vec![true], vec![true]],
+            ),
+            (
+                vec![
+                    step(
+                        &ia,
+                        &ib,
+                        "int i; for (i = 0; i < new.n; i++) { old.items[i].ID = new.items[i].ID * 10; }",
+                    ),
+                    step(
+                        &ib,
+                        &total,
+                        "int i; for (i = 0; i < new.n; i++) { old.total += new.items[i].ID; }",
+                    ),
+                ],
+                vec![vec![true, true], vec![true, true], vec![true]],
+            ),
+            (vec![step(&x, &y, "old.y = new.x - 1;")], vec![vec![true], vec![true]]),
+            (
+                vec![step(&va, &vb, loop_copy), step(&vb, &va, loop_copy)],
+                vec![vec![true, true, false]; 3],
+            ),
+            (
+                vec![step(&xyz, &out, "old.out = new.x + new.z;")],
+                vec![vec![true, false, true], vec![true]],
+            ),
+            (
+                vec![step(
+                    &ij,
+                    &total,
+                    "int i; for (i = 0; i < len(new.items); i++) { old.total += new.items[i].ID; }",
+                )],
+                vec![vec![false, true, false], vec![true]],
+            ),
+            // A whole-field copy (one CopyPath) reading root 0.
+            (vec![step(&xyz, &out, "old.out = new.y;")], vec![vec![false, true, false], vec![true]]),
+            // A batchable loop with a constant bound: root 0 is only read
+            // through the BatchCopy's source path.
+            (
+                vec![step(&va, &vb, "int i; for (i = 0; i < 3; i++) old.vals[i] = new.vals[i];")],
+                vec![vec![false, true, false], vec![false, true, false]],
+            ),
+        ];
+        for (chain, masks) in &cases {
+            let refs: Vec<&EcodeProgram> = chain.iter().collect();
+            let fp = FusedProgram::compose(&refs).unwrap();
+            for (r, want) in masks.iter().enumerate() {
+                let got = root_used_fields(fp.code(), r as u8, want.len());
+                assert_eq!(&got, want, "root {r} of\n{}", fp.code());
+            }
+        }
+        // The last two cases really exercise the superinstruction paths.
+        let n = cases.len();
+        let insns = |k: usize| &cases[k].0[0].code().insns;
+        assert!(insns(n - 2).iter().any(|i| matches!(i, RInsn::CopyPath { src_root: 0, .. })));
+        assert!(insns(n - 1).iter().any(|i| matches!(i, RInsn::BatchCopy { src_root: 0, .. })));
+    }
+
+    #[test]
+    fn used_field_scan_gives_up_on_dynamic_first_segment() {
+        let dynamic = |insn: RInsn| RCode {
+            insns: vec![RInsn::ConstI { dst: 0, v: 0 }, insn, RInsn::Ret { src: None }],
+            strings: vec![],
+            n_regs: 2,
+            n_roots: 2,
+            funcs: vec![],
+        };
+        let load = dynamic(RInsn::Load {
+            dst: 1,
+            root: 0,
+            segs: vec![CSeg::Index, CSeg::Field(1)].into(),
+            idx: vec![0].into(),
+        });
+        assert_eq!(root_used_fields(&load, 0, 3), vec![true; 3]);
+        // The other root is not touched at all.
+        assert_eq!(root_used_fields(&load, 1, 3), vec![false; 3]);
+        let copy = dynamic(RInsn::CopyPath {
+            src_root: 1,
+            src_segs: vec![CSeg::Field(0)].into(),
+            src_idx: vec![].into(),
+            dst_root: 0,
+            dst_segs: vec![].into(),
+            dst_idx: vec![].into(),
+            conv: None,
+        });
+        // A whole-root destination marks everything; the source stays precise.
+        assert_eq!(root_used_fields(&copy, 0, 2), vec![true, true]);
+        assert_eq!(root_used_fields(&copy, 1, 2), vec![true, false]);
     }
 }

@@ -1,18 +1,19 @@
-//! Reference tree-walking interpreter over the typed AST.
+//! Reference tree-walking interpreter over the typed AST — the
+//! specification of Ecode semantics.
 //!
-//! Exists for two reasons: (1) differential testing against the bytecode VM
-//! — both must agree on every program — and (2) the "no dynamic code
-//! generation" arm of the `ablate_vm` benchmark, quantifying what compiling
-//! transformations buys over interpreting them.
+//! Exists for two reasons: (1) it is the single oracle the register VM is
+//! differentially tested against — both must agree on every program's
+//! return value, output roots and runtime errors — and (2) the "no dynamic
+//! code generation" arm of the `ablate_vm` benchmark, quantifying what
+//! compiling transformations buys over interpreting them. Scalar operations
+//! come from `ops.rs`, shared with the VM; control flow, evaluation order
+//! and path navigation are the interpreter's own.
 
 use pbio::{FieldType, RecordFormat, Value};
 
-use crate::error::{EcodeError, Result};
+use crate::error::Result;
+use crate::ops::{atof, atoi, farith, fcmp, iarith, icmp, rt_err, scmp};
 use crate::tast::*;
-
-fn rt_err(msg: impl Into<String>) -> EcodeError {
-    EcodeError::runtime(msg)
-}
 
 /// Control-flow signal from statement execution.
 enum Flow {
@@ -22,7 +23,7 @@ enum Flow {
     Return(Option<Value>),
 }
 
-/// Maximum user-function call depth (matches the VM's limit).
+/// Maximum user-function call depth (the VM enforces the same limit).
 const MAX_CALL_DEPTH: usize = 64;
 
 struct Interp<'p> {
@@ -203,7 +204,7 @@ impl<'p> Interp<'p> {
                             let TBinOp::IArith(aop) = op else {
                                 return Err(rt_err("bad char compound operator"));
                             };
-                            Value::Char(int_arith(*aop, a, b)? as u8)
+                            Value::Char(iarith(*aop, a, b)? as u8)
                         } else {
                             binop(*op, cur, rhs_v)?
                         }
@@ -394,55 +395,21 @@ impl<'p> Interp<'p> {
     }
 }
 
-fn int_arith(op: ArithOp, a: i64, b: i64) -> Result<i64> {
-    match op {
-        ArithOp::Add => Ok(a.wrapping_add(b)),
-        ArithOp::Sub => Ok(a.wrapping_sub(b)),
-        ArithOp::Mul => Ok(a.wrapping_mul(b)),
-        ArithOp::Div if b == 0 => Err(rt_err("integer division by zero")),
-        ArithOp::Div => Ok(a.wrapping_div(b)),
-        ArithOp::Mod if b == 0 => Err(rt_err("integer modulo by zero")),
-        ArithOp::Mod => Ok(a.wrapping_rem(b)),
-    }
-}
-
 fn binop(op: TBinOp, a: Value, b: Value) -> Result<Value> {
     match (op, a, b) {
-        (TBinOp::IArith(o), Value::Int(a), Value::Int(b)) => Ok(Value::Int(int_arith(o, a, b)?)),
-        (TBinOp::FArith(o), Value::Float(a), Value::Float(b)) => Ok(Value::Float(match o {
-            ArithOp::Add => a + b,
-            ArithOp::Sub => a - b,
-            ArithOp::Mul => a * b,
-            ArithOp::Div => a / b,
-            ArithOp::Mod => a % b,
-        })),
+        (TBinOp::IArith(o), Value::Int(a), Value::Int(b)) => Ok(Value::Int(iarith(o, a, b)?)),
+        (TBinOp::FArith(o), Value::Float(a), Value::Float(b)) => Ok(Value::Float(farith(o, a, b))),
         (TBinOp::Concat, Value::Str(mut a), Value::Str(b)) => {
             a.push_str(&b);
             Ok(Value::Str(a))
         }
-        (TBinOp::ICmp(o), Value::Int(a), Value::Int(b)) => Ok(Value::Int(cmp(o, &a, &b))),
-        (TBinOp::FCmp(o), Value::Float(a), Value::Float(b)) => Ok(Value::Int(fcmp_val(o, a, b))),
-        (TBinOp::SCmp(o), Value::Str(a), Value::Str(b)) => Ok(Value::Int(cmp(o, &a, &b))),
+        (TBinOp::ICmp(o), Value::Int(a), Value::Int(b)) => Ok(Value::Int(icmp(o, a, b))),
+        (TBinOp::FCmp(o), Value::Float(a), Value::Float(b)) => Ok(Value::Int(fcmp(o, a, b))),
+        (TBinOp::SCmp(o), Value::Str(a), Value::Str(b)) => Ok(Value::Int(scmp(o, &a, &b))),
         (op, a, b) => {
             Err(rt_err(format!("bad operands for {op:?}: {} and {}", a.kind_name(), b.kind_name())))
         }
     }
-}
-
-fn cmp<T: PartialOrd + PartialEq>(op: CmpOp, a: &T, b: &T) -> i64 {
-    let r = match op {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-    };
-    i64::from(r)
-}
-
-fn fcmp_val(op: CmpOp, a: f64, b: f64) -> i64 {
-    cmp(op, &a, &b)
 }
 
 fn call_builtin(b: Builtin, mut args: Vec<Value>) -> Result<Value> {
@@ -492,7 +459,7 @@ fn call_builtin(b: Builtin, mut args: Vec<Value>) -> Result<Value> {
             _ => Err(bad()),
         },
         Builtin::Atoi => match args.pop() {
-            Some(Value::Str(s)) => Ok(Value::Int(crate::vm::atoi(&s))),
+            Some(Value::Str(s)) => Ok(Value::Int(atoi(&s))),
             _ => Err(bad()),
         },
         Builtin::Itoa => match args.pop() {
@@ -500,7 +467,7 @@ fn call_builtin(b: Builtin, mut args: Vec<Value>) -> Result<Value> {
             _ => Err(bad()),
         },
         Builtin::Atof => match args.pop() {
-            Some(Value::Str(s)) => Ok(Value::Float(crate::vm::atof(&s))),
+            Some(Value::Str(s)) => Ok(Value::Float(atof(&s))),
             _ => Err(bad()),
         },
         Builtin::Ftoa => match args.pop() {
@@ -510,8 +477,8 @@ fn call_builtin(b: Builtin, mut args: Vec<Value>) -> Result<Value> {
     }
 }
 
-/// Interprets the typed AST directly. Semantics match [`crate::vm::run`]
-/// exactly; differential tests enforce the agreement.
+/// Interprets the typed AST directly. This is the specification the
+/// register VM must match exactly; differential tests enforce the agreement.
 ///
 /// # Errors
 ///

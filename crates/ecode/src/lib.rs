@@ -5,13 +5,14 @@
 //! the ICDCS 2005 *Message Morphing* paper uses to express format
 //! transformations (its Fig. 5).
 //!
-//! The pipeline is lexer → parser → type checker → bytecode compiler →
-//! stack VM. Field names are resolved to indices and numeric casts are
-//! inserted at compile time, so a compiled transformation executes without
-//! consulting format meta-data — this crate's analogue of the paper's
-//! dynamic *binary* code generation (see DESIGN.md "Substitutions"). A
-//! tree-walking interpreter over the same typed AST serves as the
-//! no-codegen baseline and as a differential-testing oracle.
+//! The pipeline is lexer → parser → type checker → constant folding →
+//! lowering to register bytecode → register VM. Field names are resolved to
+//! indices and numeric casts are inserted at compile time, so a compiled
+//! transformation executes without consulting format meta-data — this
+//! crate's analogue of the paper's dynamic *binary* code generation (see
+//! DESIGN.md "Substitutions"). A tree-walking interpreter over the same
+//! typed AST is the specification: the no-codegen baseline and the single
+//! differential-testing oracle for the VM.
 //!
 //! ## Example: the paper's Fig. 5 pattern
 //!
@@ -43,7 +44,6 @@
 
 pub mod ast;
 mod bytecode;
-mod compile;
 pub mod dump;
 mod error;
 mod fold;
@@ -51,17 +51,17 @@ mod fuse;
 mod interp;
 mod lexer;
 mod lower;
+mod ops;
 mod parser;
 mod rvm;
 mod tast;
 mod typeck;
-mod vm;
 
 use std::sync::Arc;
 
 use pbio::{RecordFormat, Value};
 
-pub use bytecode::{Code, Insn, RCode, RInsn, ScalarConv};
+pub use bytecode::{CSeg, RCode, RInsn, ScalarConv};
 pub use error::{EcodeError, Pos, Result};
 pub use fuse::{root_used_fields, FusedProgram};
 pub use lexer::{lex, Spanned, Tok};
@@ -114,9 +114,8 @@ impl EcodeCompiler {
         let ast = parser::parse(src)?;
         let mut typed = typeck::check(&ast, self.bindings.clone())?;
         fold::fold_program(&mut typed);
-        let code = compile::compile(&typed);
-        let rcode = lower::lower(&typed);
-        Ok(EcodeProgram { typed, code, rcode })
+        let code = lower::lower(&typed);
+        Ok(EcodeProgram { typed, code })
     }
 
     /// Compiles without the constant-folding pass (the `ablate`-style
@@ -128,20 +127,18 @@ impl EcodeCompiler {
     pub fn compile_unoptimized(&self, src: &str) -> Result<EcodeProgram> {
         let ast = parser::parse(src)?;
         let typed = typeck::check(&ast, self.bindings.clone())?;
-        let code = compile::compile(&typed);
-        let rcode = lower::lower(&typed);
-        Ok(EcodeProgram { typed, code, rcode })
+        let code = lower::lower(&typed);
+        Ok(EcodeProgram { typed, code })
     }
 }
 
 /// A compiled Ecode program, executable by the register VM (production
-/// path), the stack VM (the semantic oracle), or the reference
-/// interpreter (no-codegen baseline).
+/// path) or the reference interpreter (the specification and no-codegen
+/// baseline).
 #[derive(Debug, Clone)]
 pub struct EcodeProgram {
     typed: TProgram,
-    code: Code,
-    rcode: RCode,
+    code: RCode,
 }
 
 impl EcodeProgram {
@@ -154,20 +151,22 @@ impl EcodeProgram {
     /// Returns [`EcodeError::Runtime`] on division by zero, out-of-bounds
     /// reads, or shape mismatches between roots and bound formats.
     pub fn run(&self, roots: &mut [Value]) -> Result<Option<Value>> {
-        vm::run(&self.code, &self.typed.bindings, roots)
+        rvm::run(&self.code, &self.typed.bindings, roots).map(|(ret, _)| ret)
     }
 
-    /// Executes on the VM with an instruction budget.
+    /// Executes on the VM with an instruction budget (`BatchCopy` charges
+    /// per element moved, keeping budgets comparable with the interpreter).
     ///
     /// # Errors
     ///
     /// As [`EcodeProgram::run`], plus fuel exhaustion.
     pub fn run_with_fuel(&self, roots: &mut [Value], fuel: u64) -> Result<Option<Value>> {
-        vm::run_with_fuel(&self.code, &self.typed.bindings, roots, fuel)
+        rvm::run_with_fuel(&self.code, &self.typed.bindings, roots, fuel).map(|(ret, _)| ret)
     }
 
-    /// Executes on the reference tree-walking interpreter (the no-codegen
-    /// baseline). Semantically identical to [`EcodeProgram::run`].
+    /// Executes on the reference tree-walking interpreter — the
+    /// specification the VM is differentially tested against, and the
+    /// no-codegen baseline. Semantically identical to [`EcodeProgram::run`].
     ///
     /// # Errors
     ///
@@ -185,41 +184,9 @@ impl EcodeProgram {
         interp::run_with_fuel(&self.typed, roots, fuel)
     }
 
-    /// Executes on the register VM — the fast production engine. Returns
-    /// the program's `return` value plus batch-superinstruction statistics.
-    /// Semantically identical to [`EcodeProgram::run`] (the stack VM is the
-    /// oracle; the register VM is differential-tested against it).
-    ///
-    /// # Errors
-    ///
-    /// As [`EcodeProgram::run`].
-    pub fn run_register(&self, roots: &mut [Value]) -> Result<(Option<Value>, RunStats)> {
-        rvm::run(&self.rcode, &self.typed.bindings, roots)
-    }
-
-    /// Executes on the register VM with an instruction budget (`BatchCopy`
-    /// charges per element moved, keeping budgets comparable across
-    /// engines).
-    ///
-    /// # Errors
-    ///
-    /// As [`EcodeProgram::run_register`], plus fuel exhaustion.
-    pub fn run_register_with_fuel(
-        &self,
-        roots: &mut [Value],
-        fuel: u64,
-    ) -> Result<(Option<Value>, RunStats)> {
-        rvm::run_with_fuel(&self.rcode, &self.typed.bindings, roots, fuel)
-    }
-
-    /// The compiled bytecode (inspection/metrics).
-    pub fn code(&self) -> &Code {
+    /// The compiled register bytecode (inspection/metrics).
+    pub fn code(&self) -> &RCode {
         &self.code
-    }
-
-    /// The lowered register bytecode (inspection/metrics).
-    pub fn rcode(&self) -> &RCode {
-        &self.rcode
     }
 
     /// The root bindings, in execution order.
@@ -237,9 +204,9 @@ mod tests {
         FormatBuilder::record("S").int("i").double("d").string("s").char("c").build_arc().unwrap()
     }
 
-    /// Runs `src` with a single writable root of `scalar_fmt`, on the stack
-    /// VM, the register VM, and the interpreter, asserting three-way
-    /// agreement; returns the final root and the return value.
+    /// Runs `src` with a single writable root of `scalar_fmt` on the VM and
+    /// on the interpreter, asserting agreement; returns the final root and
+    /// the return value.
     fn run_both(src: &str) -> (Value, Option<Value>) {
         let fmt = scalar_fmt();
         let prog = EcodeCompiler::new()
@@ -252,10 +219,6 @@ mod tests {
         let ret_it = prog.run_interp(&mut roots_it).unwrap();
         assert_eq!(roots_vm, roots_it, "vm/interp root divergence for {src}");
         assert_eq!(ret_vm, ret_it, "vm/interp return divergence for {src}");
-        let mut roots_rv = vec![Value::default_record(&fmt)];
-        let (ret_rv, _) = prog.run_register(&mut roots_rv).unwrap();
-        assert_eq!(roots_vm, roots_rv, "stack/register root divergence for {src}");
-        assert_eq!(ret_vm, ret_rv, "stack/register return divergence for {src}");
         (roots_vm.pop().expect("one root"), ret_vm)
     }
 
@@ -490,18 +453,12 @@ mod tests {
             ]),
         ]);
 
-        for engine in ["vm", "interp", "register"] {
+        for engine in ["vm", "interp"] {
             let mut roots = vec![input.clone(), Value::default_record(&v1)];
-            match engine {
-                "vm" => {
-                    prog.run(&mut roots).unwrap();
-                }
-                "register" => {
-                    prog.run_register(&mut roots).unwrap();
-                }
-                _ => {
-                    prog.run_interp(&mut roots).unwrap();
-                }
+            if engine == "vm" {
+                prog.run(&mut roots).unwrap();
+            } else {
+                prog.run_interp(&mut roots).unwrap();
             }
             let old = &roots[1];
             assert_eq!(old.field(&v1, "member_count"), Some(&Value::Int(3)), "{engine}");
@@ -720,14 +677,14 @@ mod tests {
             Value::Int(4),
             Value::Array((0..4).map(|k| Value::Int(k * 11)).collect()),
         ]);
-        let mut stack_roots = vec![input.clone(), Value::default_record(&dst_f)];
-        prog.run(&mut stack_roots).unwrap();
-        let mut reg_roots = vec![input, Value::default_record(&dst_f)];
-        let (_, stats) = prog.run_register(&mut reg_roots).unwrap();
-        assert_eq!(stack_roots, reg_roots);
+        let mut interp_roots = vec![input.clone(), Value::default_record(&dst_f)];
+        prog.run_interp(&mut interp_roots).unwrap();
+        let mut vm_roots = vec![input, Value::default_record(&dst_f)];
+        let (_, stats) = rvm::run(prog.code(), prog.bindings(), &mut vm_roots).unwrap();
+        assert_eq!(interp_roots, vm_roots);
         assert_eq!(stats.batch_copies, 1, "loop should lower to one BatchCopy");
         assert_eq!(stats.batch_elems, 4);
-        assert!(dump::register(prog.rcode()).contains("BatchCopy"));
+        assert!(dump::register(prog.code()).contains("BatchCopy"));
     }
 
     #[test]
@@ -743,31 +700,23 @@ mod tests {
         // out-of-bounds read at index 2 after copying the in-range prefix.
         let input =
             Value::Record(vec![Value::Int(5), Value::Array(vec![Value::Int(7), Value::Int(8)])]);
-        let mut stack_roots = vec![input.clone(), Value::default_record(&dst_f)];
-        let stack_err = prog.run(&mut stack_roots).unwrap_err();
-        let mut reg_roots = vec![input, Value::default_record(&dst_f)];
-        let reg_err = prog.run_register(&mut reg_roots).unwrap_err();
-        assert_eq!(stack_err.to_string(), reg_err.to_string());
-        assert_eq!(stack_roots, reg_roots, "partial copy before the error must agree");
+        let mut interp_roots = vec![input.clone(), Value::default_record(&dst_f)];
+        let interp_err = prog.run_interp(&mut interp_roots).unwrap_err();
+        let mut vm_roots = vec![input, Value::default_record(&dst_f)];
+        let vm_err = prog.run(&mut vm_roots).unwrap_err();
+        assert_eq!(interp_err.to_string(), vm_err.to_string());
+        assert_eq!(interp_roots, vm_roots, "partial copy before the error must agree");
     }
 
     #[test]
-    fn register_vm_honours_fuel() {
-        let fmt = scalar_fmt();
-        let prog = EcodeCompiler::new().bind_output("r", &fmt).compile("while (1) {}").unwrap();
-        let mut roots = vec![Value::default_record(&fmt)];
-        assert!(prog.run_register_with_fuel(&mut roots, 10_000).is_err());
-    }
-
-    #[test]
-    fn register_vm_runtime_errors_match_stack_vm() {
+    fn runtime_errors_match_interpreter() {
         let fmt = scalar_fmt();
         for src in ["return 1 / 0;", "return 1 % 0;", "return r.s + itoa(1 / 0);"] {
             let prog = EcodeCompiler::new().bind_output("r", &fmt).compile(src).unwrap();
             let mut a = vec![Value::default_record(&fmt)];
-            let ea = prog.run(&mut a).unwrap_err();
+            let ea = prog.run_interp(&mut a).unwrap_err();
             let mut b = vec![Value::default_record(&fmt)];
-            let eb = prog.run_register(&mut b).unwrap_err();
+            let eb = prog.run(&mut b).unwrap_err();
             assert_eq!(ea.to_string(), eb.to_string(), "error divergence for {src}");
         }
     }

@@ -1,15 +1,15 @@
-//! Lowers the typed AST to register bytecode — the second backend next to
-//! `compile.rs` (stack ISA).
+//! Lowers the typed AST to register bytecode — the one compiler backend.
 //!
-//! The lowering mirrors the stack compiler's evaluation order exactly (the
-//! stack VM is the semantic oracle), then goes further than a mechanical
-//! translation:
+//! The lowering mirrors the reference interpreter's evaluation order
+//! exactly (the interpreter is the semantic oracle), then goes further than
+//! a mechanical translation:
 //!
 //! * **Local pinning + stack-discipline temporaries.** Locals occupy the low
 //!   registers; expression temporaries are allocated upward and released per
 //!   statement. A read of a local usually uses its register directly — a
 //!   copy is inserted only when a later-evaluated sibling expression could
-//!   write locals, preserving the stack machine's copy-on-push semantics.
+//!   write locals, preserving the interpreter's evaluate-to-a-value
+//!   semantics.
 //! * **Linear-scan compaction.** After lowering, virtual temporaries are
 //!   remapped onto a minimal set of physical registers by a classic
 //!   linear-scan over live intervals (extended across backward jumps so
@@ -224,7 +224,7 @@ impl FnLower<'_> {
                 dst
             }
             TExprKind::LogicalAnd(l, r) => {
-                // l ? (r != 0) : 0 — mirrors the stack compiler.
+                // l ? (r != 0) : 0 — mirrors the interpreter.
                 let t = self.alloc_temp();
                 let a = self.expr(l);
                 let jz = self.emit(RInsn::Jz { cond: a, target: 0 });
@@ -353,8 +353,8 @@ impl FnLower<'_> {
     /// Lowers an operand whose value must survive until the consuming
     /// instruction executes. If the result aliases a pinned local and
     /// something evaluated in between can write locals, the value is copied
-    /// into a temporary (the stack machine's copy-on-push, paid only when
-    /// needed).
+    /// into a temporary (the interpreter's evaluate-to-a-value, paid only
+    /// when needed).
     fn operand(&mut self, e: &TExpr, later_writes_locals: bool) -> u32 {
         let r = self.expr(e);
         if later_writes_locals && !self.is_temp(r) {
@@ -431,7 +431,7 @@ impl FnLower<'_> {
     }
 
     /// Lowers `place op= rhs`, returning the register holding the stored
-    /// value iff `want_value`. Mirrors the stack compiler's evaluation
+    /// value iff `want_value`. Mirrors the interpreter's evaluation
     /// order: compound assignments read the place first, plain assignments
     /// evaluate the value before the destination's indices.
     fn assign(
@@ -497,7 +497,7 @@ impl FnLower<'_> {
             _ => return false,
         };
         // The superinstruction performs the load after the destination's
-        // indices are evaluated (the stack machine loads in between), so the
+        // indices are evaluated (the interpreter reads in between), so the
         // destination indices must be side-effect free.
         let dst_pure = dsegs.iter().all(|s| match s {
             TSeg::Index(e) => is_pure(e),
@@ -907,8 +907,8 @@ pub(crate) fn lower(program: &TProgram) -> RCode {
         for s in &f.stmts {
             fl.stmt(s);
         }
-        // Implicit return for falling off the end, mirroring the stack
-        // compiler: zero of the return type for non-void.
+        // Implicit return for falling off the end, mirroring the
+        // interpreter: zero of the return type for non-void.
         match &f.ret {
             Ty::Void => {
                 fl.emit(RInsn::Ret { src: None });
@@ -946,4 +946,26 @@ pub(crate) fn lower(program: &TProgram) -> RCode {
     }
 
     RCode { insns, strings, n_regs, n_roots: program.bindings.len(), funcs }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parser::parse;
+    use crate::typeck::check;
+    use pbio::FormatBuilder;
+
+    fn lower_src(src: &str) -> RCode {
+        let ast = parse(src).unwrap();
+        let fmt = FormatBuilder::record("R").int("x").build_arc().unwrap();
+        let tp =
+            check(&ast, vec![Binding { name: "r".into(), format: fmt, writable: true }]).unwrap();
+        lower(&tp)
+    }
+
+    #[test]
+    fn string_pool_deduplicates() {
+        let code = lower_src(r#"string a = "x"; string b = "x"; string c = "y";"#);
+        assert_eq!(code.strings, vec!["x".to_string(), "y".to_string()]);
+    }
 }

@@ -1,14 +1,21 @@
-//! The register virtual machine — executes [`RCode`](crate::bytecode::RCode)
-//! produced by the lowering pass.
+//! The register virtual machine — the one execution engine. Executes
+//! [`RCode`](crate::bytecode::RCode) produced by the lowering pass, for
+//! single transformations and fused chains alike.
 //!
-//! Instruction semantics (arithmetic, navigation, error texts, fuel) are
-//! shared with the stack VM via its `pub(crate)` helpers, so the two engines
-//! disagree only in dispatch cost, never in observable behaviour — the stack
-//! VM remains the semantic oracle. The register file lives in one flat
+//! Scalar semantics (arithmetic, comparisons, conversions, error texts) are
+//! shared with the reference interpreter through `ops.rs`, and fuel is
+//! charged per dispatch, so the two engines disagree only in cost — the
+//! interpreter is the semantic oracle. The register file lives in one flat
 //! `Vec<Value>`; user-function calls open a fresh window at the top
 //! (Lua-style), with arguments cloned into the callee's low registers.
+//! Access paths into the bound root records are resolved through
+//! pre-compiled field indices, so execution never consults format
+//! meta-data except to materialize default elements when a write extends
+//! an array (the `old.src_list[src_count] = ...` pattern of the paper's
+//! Fig. 5, where the output list grows as the transformation discovers
+//! sources).
 //!
-//! Two superinstructions do work no stack program can express in one step:
+//! Two superinstructions fold a whole access pattern into one dispatch:
 //!
 //! * [`RInsn::CopyPath`] moves a whole field between roots (with an optional
 //!   scalar conversion) in a single dispatch.
@@ -20,9 +27,10 @@ use pbio::{FieldType, RecordFormat, Value};
 
 use crate::bytecode::{CSeg, RCode, RInsn, ScalarConv};
 use crate::error::Result;
-use crate::tast::Binding;
-use crate::vm::{call_builtin, farith, fcmp, iarith, icmp, nav, rt_err, scmp, write_path};
+use crate::ops::{atof, atoi, farith, fcmp, iarith, icmp, rt_err, scmp};
+use crate::tast::{Binding, Builtin};
 
+/// Maximum user-function call depth (independent of fuel).
 const MAX_CALL_DEPTH: usize = 64;
 
 /// Execution statistics from one register-VM run. Surfaced by the morph
@@ -70,7 +78,7 @@ fn as_str(v: &Value) -> Result<&str> {
     }
 }
 
-/// Index-register → array subscript, with the stack VM's error texts.
+/// Index-register → array subscript.
 fn to_index(v: &Value) -> Result<usize> {
     match v {
         Value::Int(n) if *n >= 0 => Ok(*n as usize),
@@ -95,6 +103,121 @@ fn apply_conv(conv: ScalarConv, v: Value) -> Result<Value> {
                 "expected {want} in register, found {}",
                 other.kind_name()
             )));
+        }
+    })
+}
+
+/// Navigates a fused path for reading; returns a reference to the value.
+/// `idx` holds one evaluated subscript per [`CSeg::Index`], in path order.
+fn nav<'v>(roots: &'v [Value], root: u8, segs: &[CSeg], idx: &[usize]) -> Result<&'v Value> {
+    let mut cur: &Value =
+        roots.get(root as usize).ok_or_else(|| rt_err(format!("no root #{root}")))?;
+    let mut it = idx.iter();
+    for seg in segs {
+        match seg {
+            CSeg::Field(i) => {
+                cur = cur
+                    .as_record()
+                    .and_then(|fs| fs.get(*i as usize))
+                    .ok_or_else(|| rt_err("path field does not resolve to a record slot"))?;
+            }
+            CSeg::Index => {
+                let n = *it.next().expect("one index register per CSeg::Index");
+                let arr = cur
+                    .as_array()
+                    .ok_or_else(|| rt_err("path index applied to a non-array value"))?;
+                cur = arr.get(n).ok_or_else(|| {
+                    rt_err(format!("array index {n} out of bounds (len {})", arr.len()))
+                })?;
+            }
+        }
+    }
+    Ok(cur)
+}
+
+enum TyRef<'f> {
+    Rec(&'f RecordFormat),
+    Ty(&'f FieldType),
+}
+
+/// Navigates a fused path for writing, auto-extending arrays with
+/// format-appropriate default elements, and stores `value` at the end.
+fn write_path(
+    roots: &mut [Value],
+    bindings: &[Binding],
+    root: u8,
+    segs: &[CSeg],
+    idx: &[usize],
+    value: Value,
+) -> Result<()> {
+    let root_idx = root as usize;
+    let binding = bindings.get(root_idx).ok_or_else(|| rt_err(format!("no root #{root}")))?;
+    let mut cur: &mut Value =
+        roots.get_mut(root_idx).ok_or_else(|| rt_err(format!("no root #{root}")))?;
+    let mut ty = TyRef::Rec(&binding.format);
+    let mut it = idx.iter();
+    for seg in segs {
+        match seg {
+            CSeg::Field(i) => {
+                let i = *i as usize;
+                let field_ty = match ty {
+                    TyRef::Rec(r) => r.fields().get(i),
+                    TyRef::Ty(FieldType::Record(r)) => r.fields().get(i),
+                    _ => None,
+                }
+                .ok_or_else(|| rt_err("path field does not match the bound format"))?
+                .ty();
+                cur = cur
+                    .as_record_mut()
+                    .and_then(|fs| fs.get_mut(i))
+                    .ok_or_else(|| rt_err("path field does not resolve to a record slot"))?;
+                ty = TyRef::Ty(field_ty);
+            }
+            CSeg::Index => {
+                let n = *it.next().expect("one index register per CSeg::Index");
+                let elem_ty = match ty {
+                    TyRef::Ty(FieldType::Array { elem, .. }) => elem.as_ref(),
+                    _ => return Err(rt_err("path index applied to a non-array field")),
+                };
+                let arr = cur
+                    .as_array_mut()
+                    .ok_or_else(|| rt_err("path index applied to a non-array value"))?;
+                if n >= arr.len() {
+                    arr.resize_with(n + 1, || Value::default_for(elem_ty));
+                }
+                cur = &mut arr[n];
+                ty = TyRef::Ty(elem_ty);
+            }
+        }
+    }
+    *cur = value;
+    Ok(())
+}
+
+/// Evaluates a builtin over its argument registers.
+fn call_builtin(b: Builtin, args: &[&Value]) -> Result<Value> {
+    Ok(match (b, args) {
+        (Builtin::Strlen, [s]) => Value::Int(as_str(s)?.len() as i64),
+        (Builtin::Strcat, [a, b]) => {
+            let mut s = as_str(a)?.to_owned();
+            s.push_str(as_str(b)?);
+            Value::Str(s)
+        }
+        (Builtin::AbsI, [a]) => Value::Int(as_int(a)?.wrapping_abs()),
+        (Builtin::AbsF, [a]) => Value::Float(as_float(a)?.abs()),
+        (Builtin::MinI, [a, b]) => Value::Int(as_int(a)?.min(as_int(b)?)),
+        (Builtin::MaxI, [a, b]) => Value::Int(as_int(a)?.max(as_int(b)?)),
+        (Builtin::MinF, [a, b]) => Value::Float(as_float(a)?.min(as_float(b)?)),
+        (Builtin::MaxF, [a, b]) => Value::Float(as_float(a)?.max(as_float(b)?)),
+        (Builtin::Sqrt, [a]) => Value::Float(as_float(a)?.sqrt()),
+        (Builtin::Floor, [a]) => Value::Float(as_float(a)?.floor()),
+        (Builtin::Ceil, [a]) => Value::Float(as_float(a)?.ceil()),
+        (Builtin::Atoi, [s]) => Value::Int(atoi(as_str(s)?)),
+        (Builtin::Itoa, [a]) => Value::Str(as_int(a)?.to_string()),
+        (Builtin::Atof, [s]) => Value::Float(atof(as_str(s)?)),
+        (Builtin::Ftoa, [a]) => Value::Str(as_float(a)?.to_string()),
+        (b, args) => {
+            return Err(rt_err(format!("builtin {b:?} called with {} arguments", args.len())))
         }
     })
 }
@@ -140,8 +263,9 @@ fn nav_array_mut<'v, 'f>(
 ///
 /// # Errors
 ///
-/// As the stack VM: division by zero, out-of-bounds reads, shape mismatches
-/// between roots and bound formats.
+/// Returns [`EcodeError::Runtime`](crate::EcodeError::Runtime) on division
+/// by zero, out-of-bounds reads, or shape mismatches between roots and
+/// bound formats.
 pub(crate) fn run(
     code: &RCode,
     bindings: &[Binding],
@@ -226,8 +350,7 @@ pub(crate) fn run_with_fuel(
                     idx_scratch.push(to_index(&reg!(r))?);
                 }
                 let v = nav(roots, *root, segs, &idx_scratch)?;
-                let n =
-                    v.as_array().ok_or_else(|| rt_err("len applied to a non-array value"))?.len();
+                let n = v.as_array().ok_or_else(|| rt_err("len() target is not an array"))?.len();
                 reg!(*dst) = Value::Int(n as i64);
             }
             RInsn::IArith { op, dst, a, b } => {
@@ -311,9 +434,10 @@ pub(crate) fn run_with_fuel(
                 }
             }
             RInsn::Call { f, dst, args } => {
-                let mut tmp: Vec<Value> = args.iter().map(|&r| reg!(r).clone()).collect();
-                call_builtin(*f, args.len() as u8, &mut tmp)?;
-                let v = tmp.pop().ok_or_else(|| rt_err("builtin returned no value"))?;
+                let v = {
+                    let vals: Vec<&Value> = args.iter().map(|&r| &reg!(r)).collect();
+                    call_builtin(*f, &vals)?
+                };
                 reg!(*dst) = v;
             }
             RInsn::CallFn { f, dst, args } => {

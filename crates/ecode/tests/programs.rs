@@ -1,5 +1,5 @@
-//! Program-level integration tests: realistic Ecode programs run on both
-//! engines (VM and reference interpreter) and must agree.
+//! Program-level integration tests: realistic Ecode programs run on the
+//! register VM and on the reference interpreter, and must agree.
 
 use std::sync::Arc;
 
@@ -242,9 +242,11 @@ fn compile_once_run_many_is_deterministic() {
 fn bytecode_is_inspectable() {
     let prog = compile("s.acc = 1 + 2;");
     assert!(!prog.code().is_empty());
-    // Constant folding leaves exactly: ConstI(3), Store, RetVoid.
+    // Constant folding leaves exactly: r0 = 3, Store, Ret.
     assert_eq!(prog.code().len(), 3);
-    assert!(prog.code().disassemble().contains("ConstI(3)"));
+    let listing = prog.code().disassemble();
+    assert!(listing.contains("r0 = 3"), "{listing}");
+    assert!(listing.contains("Store root0.2 = r0"), "{listing}");
     assert_eq!(prog.bindings().len(), 1);
     assert_eq!(prog.bindings()[0].name, "s");
 }

@@ -264,8 +264,6 @@ struct RxMetrics {
     fused_skipped: Arc<Counter>,
     staged_vm_invocations: Arc<Counter>,
     staged_intermediates: Arc<Counter>,
-    vm_register_applies: Arc<Counter>,
-    vm_stack_applies: Arc<Counter>,
     batch_copies: Arc<Counter>,
     batch_elems: Arc<Counter>,
     decide_ns: Arc<Histogram>,
@@ -297,8 +295,6 @@ impl RxMetrics {
             fused_skipped: registry.counter("morph.fused.skipped"),
             staged_vm_invocations: registry.counter("morph.staged.vm_invocations"),
             staged_intermediates: registry.counter("morph.staged.intermediates"),
-            vm_register_applies: registry.counter("morph.vm.register.apply"),
-            vm_stack_applies: registry.counter("morph.vm.stack.apply"),
             batch_copies: registry.counter("ecode.batch.copies"),
             batch_elems: registry.counter("ecode.batch.copied_elems"),
             decide_ns: registry.histogram("morph.decide_ns"),
@@ -362,11 +358,6 @@ pub struct MorphReceiver {
     /// fused single-pass plan; when false they run the staged per-step
     /// oracle. Tests and benches flip this to compare the two paths.
     fusion: bool,
-    /// When true (the default), fused warm replays execute on the register
-    /// VM with superinstructions; when false they run the fused stack VM —
-    /// the semantic oracle the register engine is differentially tested
-    /// against. Orthogonal to `fusion` (which picks fused vs staged).
-    register_vm: bool,
     /// Compiled conversion plans, shared across decision-cache rebuilds.
     plans: PlanCache,
     metrics: RxMetrics,
@@ -430,7 +421,6 @@ impl MorphReceiver {
             shared: None,
             fingerprint: None,
             fusion: true,
-            register_vm: true,
             plans: PlanCache::new(Arc::clone(&registry)),
             metrics: RxMetrics::new(registry),
             trace: None,
@@ -656,15 +646,6 @@ impl MorphReceiver {
     /// plans) are kept; only the warm dispatch changes.
     pub fn set_fusion(&mut self, enabled: bool) {
         self.fusion = enabled;
-    }
-
-    /// Picks the execution engine for fused warm replays (register VM by
-    /// default). Disabling falls back to the fused *stack* VM — the
-    /// semantic oracle — with the same plans and the same observable
-    /// behaviour, only slower. Tests and benches flip this to compare the
-    /// two engines on identical traffic.
-    pub fn set_register_vm(&mut self, enabled: bool) {
-        self.register_vm = enabled;
     }
 
     /// Switches format matching to the importance-weighted variant: fields
@@ -984,15 +965,9 @@ impl MorphReceiver {
                             let mut roots = Vec::with_capacity(f.templates.len() + 1);
                             roots.push(f.decode.execute(msg)?);
                             roots.extend(f.templates.iter().cloned());
-                            if self.register_vm {
-                                let stats = f.program.run_register(&mut roots)?;
-                                self.metrics.vm_register_applies.inc();
-                                self.metrics.batch_copies.add(stats.batch_copies);
-                                self.metrics.batch_elems.add(stats.batch_elems);
-                            } else {
-                                f.program.run(&mut roots)?;
-                                self.metrics.vm_stack_applies.inc();
-                            }
+                            let stats = f.program.run_register(&mut roots)?;
+                            self.metrics.batch_copies.add(stats.batch_copies);
+                            self.metrics.batch_elems.add(stats.batch_elems);
                             let value = roots.pop().expect("fused program keeps its roots");
                             let value = match adapter {
                                 Some(a) => a.apply(&value)?,
@@ -1540,34 +1515,27 @@ mod tests {
     }
 
     #[test]
-    fn register_and_stack_engines_deliver_identical_values() {
-        // The same warm traffic through both fused engines: the register VM
-        // must deliver byte-for-byte the values the stack oracle delivers,
-        // and each engine's applies surface under its own counter.
-        let (got_reg, h_reg) = sink();
-        let mut reg = MorphReceiver::new();
-        reg.register_handler(&v1(), h_reg);
-        reg.import_transformation(Transformation::new(v2(), v1(), FIG5));
+    fn fused_replays_match_the_interpreter() {
+        // Warm fused replays on the VM deliver exactly what the reference
+        // interpreter computes from the full decode.
+        let (got, h) = sink();
+        let mut rx = MorphReceiver::new();
+        rx.register_handler(&v1(), h);
+        let xform = Transformation::new(v2(), v1(), FIG5);
+        rx.import_transformation(xform.clone());
+        let oracle = xform.compile().unwrap();
 
-        let (got_stk, h_stk) = sink();
-        let mut stk = MorphReceiver::new();
-        stk.register_handler(&v1(), h_stk);
-        stk.import_transformation(Transformation::new(v2(), v1(), FIG5));
-        stk.set_register_vm(false);
-
-        for n in [0usize, 1, 3, 5] {
-            reg.process(&v2_message(n)).unwrap();
-            stk.process(&v2_message(n)).unwrap();
+        let sizes = [0usize, 1, 3, 5];
+        let mut want = Vec::new();
+        for n in sizes {
+            let msg = v2_message(n);
+            rx.process(&msg).unwrap();
+            let full = pbio::decode_payload(&v2(), &msg).unwrap();
+            want.push(oracle.apply_interp(&full).unwrap());
         }
-        assert_eq!(*got_reg.lock().unwrap(), *got_stk.lock().unwrap());
-
-        let rsnap = reg.registry().snapshot();
+        assert_eq!(*got.lock().unwrap(), want);
         // 3 warm replays (the first message was the cold staged pass).
-        assert_eq!(rsnap.counter("morph.vm.register.apply"), Some(3));
-        assert_eq!(rsnap.counter("morph.vm.stack.apply"), Some(0));
-        let ssnap = stk.registry().snapshot();
-        assert_eq!(ssnap.counter("morph.vm.register.apply"), Some(0));
-        assert_eq!(ssnap.counter("morph.vm.stack.apply"), Some(3));
+        assert_eq!(rx.registry().snapshot().counter("morph.fused.apply"), Some(3));
     }
 
     #[test]

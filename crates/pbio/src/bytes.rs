@@ -262,7 +262,8 @@ mod tests {
         assert_eq!(a, vec![9u8, 8, 7]);
         assert_eq!(a, b"\x09\x08\x07");
         assert_eq!(a, *b"\x09\x08\x07");
-        assert!(a > WireBytes::from(vec![9u8, 8]));
+        let prefix = WireBytes::from(vec![9u8, 8]);
+        assert!(a > prefix);
     }
 
     #[test]

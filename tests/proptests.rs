@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures and invariants:
 //! wire-format round trips, specialized-plan vs meta-data-driven decode
-//! agreement, MaxMatch arithmetic, Ecode VM vs interpreter equivalence, and
-//! XML round trips.
+//! agreement, MaxMatch arithmetic, Ecode VM vs interpreter equivalence,
+//! fused vs staged morphing, and XML round trips.
 //!
 //! Deliberately dependency-free: instead of `proptest`/`rand` (which would
 //! require registry access to build), inputs are generated by the in-tree
@@ -409,9 +409,27 @@ fn gen_int_expr(rng: &mut XorShift64, depth: u32) -> String {
     }
 }
 
-/// The stack VM (the semantic oracle), the reference interpreter, and the
-/// register VM agree on arbitrary expressions (results, output roots, and
-/// wrap-around arithmetic included).
+/// Runs `prog` on the register VM and on the reference interpreter (the
+/// specification) from the same roots, asserting that both produce the same
+/// outcome — return value or error text — and the same final roots, partial
+/// writes before an error included. Returns the agreed outcome.
+fn vm_agrees_with_interp(
+    prog: &EcodeProgram,
+    roots: &[Value],
+    ctx: &str,
+) -> Result<Option<Value>, String> {
+    let mut vm_roots = roots.to_vec();
+    let vm = prog.run_with_fuel(&mut vm_roots, 1_000_000).map_err(|e| e.to_string());
+    let mut it_roots = roots.to_vec();
+    let it = prog.run_interp_with_fuel(&mut it_roots, 1_000_000).map_err(|e| e.to_string());
+    assert_eq!(vm, it, "outcome divergence, {ctx}");
+    assert_eq!(vm_roots, it_roots, "root divergence, {ctx}");
+    vm
+}
+
+/// The register VM and the reference interpreter agree on arbitrary
+/// expressions (results, output roots, and wrap-around arithmetic
+/// included).
 #[test]
 fn vm_matches_interpreter() {
     for_cases("vm_matches_interpreter", |rng| {
@@ -421,20 +439,12 @@ fn vm_matches_interpreter() {
         let src = format!("int a = {a}; int b = {b}; int c = {c}; return {e};");
         let fmt = FormatBuilder::record("R").int("x").build_arc().unwrap();
         let prog = EcodeCompiler::new().bind_output("r", &fmt).compile(&src).unwrap();
-        let mut roots_vm = vec![Value::default_record(&fmt)];
-        let mut roots_it = vec![Value::default_record(&fmt)];
-        let mut roots_rg = vec![Value::default_record(&fmt)];
-        let vm = prog.run_with_fuel(&mut roots_vm, 1_000_000).unwrap();
-        let it = prog.run_interp_with_fuel(&mut roots_it, 1_000_000).unwrap();
-        let (rg, _) = prog.run_register_with_fuel(&mut roots_rg, 1_000_000).unwrap();
-        assert_eq!(vm, it, "src: {src}");
-        assert_eq!(vm, rg, "register VM diverged, src: {src}");
-        assert_eq!(roots_vm, roots_it);
-        assert_eq!(roots_vm, roots_rg);
+        let out = vm_agrees_with_interp(&prog, &[Value::default_record(&fmt)], &src);
+        assert!(out.is_ok(), "src: {src}: {out:?}");
     });
 }
 
-/// Loops with data-dependent control flow agree across all three engines.
+/// Loops with data-dependent control flow agree across both engines.
 #[test]
 fn vm_matches_interpreter_loops() {
     for_cases("vm_matches_interpreter_loops", |rng| {
@@ -452,15 +462,53 @@ fn vm_matches_interpreter_loops() {
         );
         let fmt = FormatBuilder::record("R").int("x").build_arc().unwrap();
         let prog = EcodeCompiler::new().bind_output("r", &fmt).compile(&src).unwrap();
-        let mut r1 = vec![Value::default_record(&fmt)];
-        let mut r2 = vec![Value::default_record(&fmt)];
-        let mut r3 = vec![Value::default_record(&fmt)];
-        let vm = prog.run_with_fuel(&mut r1, 1_000_000).unwrap();
-        let it = prog.run_interp_with_fuel(&mut r2, 1_000_000).unwrap();
-        let (rg, _) = prog.run_register_with_fuel(&mut r3, 1_000_000).unwrap();
-        assert_eq!(vm, it);
-        assert_eq!(vm, rg);
+        let out = vm_agrees_with_interp(&prog, &[Value::default_record(&fmt)], &src);
+        assert!(out.is_ok(), "src: {src}: {out:?}");
     });
+}
+
+/// Array-copy loops agree across both engines, whether or not the lowering
+/// collapses them into a `BatchCopy` superinstruction — including sources
+/// shorter than their claimed count and negative starts, where both engines
+/// must fail with the same error after the same partial copy.
+#[test]
+fn vm_matches_interpreter_array_loops() {
+    let fmt = FormatBuilder::record("A")
+        .int("n")
+        .var_array_basic("vals", BasicType::Int(Width::W8), "n")
+        .build_arc()
+        .unwrap();
+    let (mut batched, mut scalar, mut failed) = (0, 0, 0);
+    for_cases("vm_matches_interpreter_array_loops", |rng| {
+        let start = [0, 0, 1, -1][rng.usize_below(4)];
+        let limit = ["new.n", "len(new.vals)", "4"][rng.usize_below(3)];
+        let rhs = ["new.vals[i]", "new.vals[i]", "new.vals[i] + 1"][rng.usize_below(3)];
+        let src = format!(
+            "int i; old.n = new.n; for (i = {start}; i < {limit}; i++) old.vals[i] = {rhs}; return i;"
+        );
+        let prog = EcodeCompiler::new()
+            .bind_input("new", &fmt)
+            .bind_output("old", &fmt)
+            .compile(&src)
+            .unwrap();
+        let array = |rng: &mut XorShift64| {
+            let len = rng.usize_below(7);
+            Value::Array((0..len).map(|_| Value::Int(rng.range_i64(-99, 99))).collect())
+        };
+        // The claimed count need not match the carried elements, and the
+        // output may already hold elements the loop overwrites or keeps.
+        let input = Value::Record(vec![Value::Int(rng.range_i64(0, 6)), array(rng)]);
+        let output = Value::Record(vec![Value::Int(0), array(rng)]);
+        let out = vm_agrees_with_interp(&prog, &[input, output], &src);
+        if prog.code().insns.iter().any(|i| matches!(i, ecode::RInsn::BatchCopy { .. })) {
+            batched += 1;
+        } else {
+            scalar += 1;
+        }
+        failed += usize::from(out.is_err());
+    });
+    assert!(batched > 0 && scalar > 0, "batched {batched}, scalar {scalar}");
+    assert!(failed > 0, "no generated case failed mid-copy");
 }
 
 /// A compiled transformation applied via the VM equals the interpreter on
@@ -522,8 +570,8 @@ fn transformation_vm_matches_interp() {
 }
 
 /// Constant folding is semantics-preserving: the optimized and unoptimized
-/// compilations of the same program agree (and both agree with the
-/// interpreter, which runs the folded AST).
+/// compilations of the same program agree with each other and with the
+/// interpreter, which runs the folded AST.
 #[test]
 fn folding_preserves_semantics() {
     for_cases("folding_preserves_semantics", |rng| {
@@ -535,21 +583,17 @@ fn folding_preserves_semantics() {
         let opt = compiler.compile(&src).unwrap();
         let unopt = compiler.compile_unoptimized(&src).unwrap();
         assert!(opt.code().len() <= unopt.code().len());
-        let mut r1 = vec![Value::default_record(&fmt)];
-        let mut r2 = vec![Value::default_record(&fmt)];
-        let v1 = opt.run_with_fuel(&mut r1, 1_000_000).unwrap();
-        let v2 = unopt.run_with_fuel(&mut r2, 1_000_000).unwrap();
+        let roots = [Value::default_record(&fmt)];
+        let v1 = vm_agrees_with_interp(&opt, &roots, &src);
+        let v2 = vm_agrees_with_interp(&unopt, &roots, &src);
+        assert!(v1.is_ok(), "src: {src}: {v1:?}");
         assert_eq!(v1, v2);
-        // Both lowerings to the register ISA agree with the oracle too.
-        let mut r3 = vec![Value::default_record(&fmt)];
-        let mut r4 = vec![Value::default_record(&fmt)];
-        assert_eq!(opt.run_register_with_fuel(&mut r3, 1_000_000).unwrap().0, v1);
-        assert_eq!(unopt.run_register_with_fuel(&mut r4, 1_000_000).unwrap().0, v1);
     });
 }
 
-/// Programs routed through a user-defined function agree across both
-/// engines and with direct inlining.
+/// Programs routed through a user-defined function agree with direct
+/// inlining, and the VM's register-window call frames agree with the
+/// interpreter.
 #[test]
 fn functions_are_transparent() {
     for_cases("functions_are_transparent", |rng| {
@@ -563,18 +607,11 @@ fn functions_are_transparent() {
         let inline = format!("int a = {x}; int b = {x} + 1; int c = {x} - 1; return {e};");
         let pf = compiler.compile(&via_fn).unwrap();
         let pi = compiler.compile(&inline).unwrap();
-        let mut r1 = vec![Value::default_record(&fmt)];
-        let mut r2 = vec![Value::default_record(&fmt)];
-        let v1 = pf.run_with_fuel(&mut r1, 1_000_000).unwrap();
-        let v2 = pi.run_with_fuel(&mut r2, 1_000_000).unwrap();
+        let roots = [Value::default_record(&fmt)];
+        let v1 = vm_agrees_with_interp(&pf, &roots, &via_fn);
+        let v2 = vm_agrees_with_interp(&pi, &roots, &inline);
+        assert!(v1.is_ok(), "src: {via_fn}: {v1:?}");
         assert_eq!(v1, v2);
-        // And the interpreter agrees with the VM on the function version.
-        let mut r3 = vec![Value::default_record(&fmt)];
-        let v3 = pf.run_interp_with_fuel(&mut r3, 1_000_000).unwrap();
-        assert_eq!(v1, v3);
-        // The register VM's register-window call frames agree as well.
-        let mut r4 = vec![Value::default_record(&fmt)];
-        assert_eq!(pf.run_register_with_fuel(&mut r4, 1_000_000).unwrap().0, v1);
     });
 }
 
@@ -652,11 +689,11 @@ fn chain_copy_stmt(rng: &mut XorShift64, fname: &str, kind: ChainKind) -> String
     }
 }
 
-/// The two fused warm paths (projected decode + one composed program, on
-/// the stack engine and on the register engine) are Value-identical to the
-/// staged oracle (full decode, then one stack-VM invocation per chain
-/// step) over randomized formats and randomized 1–3-step
-/// retro-transformation chains — including target fields that no statement
+/// The fused warm path (projected decode + one composed program) and the
+/// staged path (full decode, then one VM invocation per chain step) both
+/// deliver exactly what the reference interpreter computes step by step
+/// from the full decode — over randomized formats and randomized 1–3-step
+/// retro-transformation chains, including target fields that no statement
 /// assigns (all paths must default-fill identically) and fixed-stride
 /// arrays copied by loops the register lowering may or may not be able to
 /// batch.
@@ -722,47 +759,40 @@ fn fused_single_pass_matches_staged_oracle() {
         }
 
         let reader = formats.last().unwrap();
-        let make_rx = |fusion: bool, register_vm: bool| {
+        let make_rx = |fusion: bool| {
             let got = Arc::new(Mutex::new(Vec::new()));
             let sink = Arc::clone(&got);
             let mut rx = MorphReceiver::new();
             rx.set_fusion(fusion);
-            rx.set_register_vm(register_vm);
             rx.register_handler(reader, move |v| sink.lock().unwrap().push(v));
             for t in &xforms {
                 rx.import_transformation(t.clone());
             }
             (got, rx)
         };
-        let (got_register, mut rx_register) = make_rx(true, true);
-        let (got_stack, mut rx_stack) = make_rx(true, false);
-        let (got_staged, mut rx_staged) = make_rx(false, true);
+        let (got_fused, mut rx_fused) = make_rx(true);
+        let (got_staged, mut rx_staged) = make_rx(false);
 
         let v = value_for(&formats[0], rng);
         let wire = pbio::Encoder::new(&formats[0]).encode(&v).unwrap();
-        // Two messages: the first decides (cold, staged on all three), the
-        // second replays the cached decision — fused on the register
-        // engine, fused on the stack engine, and staged.
+        // Reference: the interpreter applies each step to the full decode.
+        let mut want = decode_payload(&formats[0], &wire).unwrap();
+        for t in &xforms {
+            want = t.compile().unwrap().apply_interp(&want).unwrap();
+        }
+        // Two messages: the first decides (cold, staged on both), the
+        // second replays the cached decision — fused, and staged.
         for _ in 0..2 {
-            assert!(matches!(rx_register.process(&wire).unwrap(), Delivery::Delivered(_)));
-            assert!(matches!(rx_stack.process(&wire).unwrap(), Delivery::Delivered(_)));
+            assert!(matches!(rx_fused.process(&wire).unwrap(), Delivery::Delivered(_)));
             assert!(matches!(rx_staged.process(&wire).unwrap(), Delivery::Delivered(_)));
         }
-        let register_values = got_register.lock().unwrap();
-        let stack_values = got_stack.lock().unwrap();
-        let staged_values = got_staged.lock().unwrap();
-        assert_eq!(*register_values, *staged_values);
-        assert_eq!(*stack_values, *staged_values);
-        for value in register_values.iter() {
-            value.check(reader).unwrap();
-        }
-        let snap = rx_register.registry().snapshot();
+        let want = vec![want; 2];
+        assert_eq!(*got_fused.lock().unwrap(), want);
+        assert_eq!(*got_staged.lock().unwrap(), want);
+        want[0].check(reader).unwrap();
+        let snap = rx_fused.registry().snapshot();
         if snap.counter("morph.fused.apply").unwrap_or(0) > 0 {
             fused_exercised = true;
-            // The fused receivers really split by engine.
-            assert_eq!(snap.counter("morph.vm.stack.apply"), Some(0));
-            assert!(snap.counter("morph.vm.register.apply").unwrap_or(0) > 0);
-            assert_eq!(rx_stack.registry().snapshot().counter("morph.vm.register.apply"), Some(0));
         }
         if snap.counter("ecode.batch.copies").unwrap_or(0) > 0 {
             batch_exercised = true;
