@@ -46,6 +46,13 @@ echo "==> end-to-end correctness smoke (perfbench, format_churn, 2 s)"
 cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
     --workload format_churn --seed 1 --seconds 2 --trace 0 >/dev/null
 
+echo "==> end-to-end correctness smoke (perfbench, evolve_large, 2 s)"
+# 36 KB ChannelOpenResponse frames through the table-driven CRC, the
+# projected decode and the fused Fig. 5 rollback; exits non-zero on any
+# wrong delivery.
+cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload evolve_large --seed 1 --seconds 2 --trace 0 >/dev/null
+
 echo "==> warm-path bench (smoke mode; writes BENCH_9.json)"
 # Fails if the fused warm path is slower than staged; the gate runs
 # offline, without the criterion harness.

@@ -1213,6 +1213,41 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn warm_fused_deliveries_feed_the_decode_stage() {
+        // A v1 sink on the Fig. 5 rollback: the first event is the cold
+        // staged pass, the second a warm fused replay whose decode is timed
+        // into the receiver's pbio.decode_ns — which the stage probe turns
+        // into echo.stage.decode.ns.
+        let mut node = NodeState::new("sink".into(), EchoVersion::V1);
+        node.expect_events(ChannelId(1), &proto::channel_open_response_v1());
+        node.import_metadata(
+            &[proto::channel_open_response_v2()],
+            &[proto::response_retro_transformation()],
+        );
+        let members: Vec<MemberInfo> = (0..8)
+            .map(|i| MemberInfo {
+                contact: format!("h{i}:1"),
+                id: i,
+                is_source: true,
+                is_sink: true,
+            })
+            .collect();
+        let msg = Encoder::new(&proto::channel_open_response_v2())
+            .encode(&proto::response_v2_value(ChannelId(1), &members))
+            .unwrap();
+        for seq in 0..2 {
+            let f = proto::frame(proto::FRAME_EVENT, ChannelId(1), seq, proto::NO_TRACE, &msg);
+            assert!(matches!(node.handle_frame(0, &f).disposition, Disposition::Handled(..)));
+        }
+        assert_eq!(node.events.lock().unwrap().len(), 2);
+        let snap = node.event_registry(ChannelId(1)).unwrap().snapshot();
+        assert_eq!(snap.histogram("pbio.decode_ns").unwrap().count, 1);
+        let stage = snap.histogram("echo.stage.decode.ns").unwrap();
+        assert_eq!(stage.count, 2, "one decode-stage sample per delivery");
+        assert!(stage.sum > 0, "the warm delivery's decode is attributed");
+    }
+
     fn frag_frame(qos: QosTier, seq: u64, index: u16, count: u16, payload: &[u8]) -> WireBytes {
         proto::frame_qos(
             proto::FRAME_EVENT,

@@ -398,19 +398,82 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`, starting from `seed`
-/// (pass the return of a previous call to continue a running checksum;
-/// start with 0).
-fn crc32(seed: u32, bytes: &[u8]) -> u32 {
-    let mut crc = !seed;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = 0u32.wrapping_sub(crc & 1);
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The IEEE 802.3 CRC-32 polynomial, bit-reflected.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 lookup tables, built at compile time: `CRC32_TABLES[0]` is
+/// the classic bytewise table, and `CRC32_TABLES[k][b]` advances the CRC of
+/// byte `b` through `k` further zero bytes, so eight table reads fold eight
+/// input bytes at once.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & 0u32.wrapping_sub(crc & 1));
+            bit += 1;
         }
+        t[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected; check value `0xCBF43926`) over `bytes`,
+/// starting from `seed` (pass the return of a previous call to continue a
+/// running checksum; start with 0). Slicing-by-8: eight bytes per step,
+/// then a bytewise tail.
+fn crc32(seed: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc = !seed;
+    let mut blocks = bytes.chunks_exact(8);
+    for b in &mut blocks {
+        let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(b[4])]
+            ^ t[2][usize::from(b[5])]
+            ^ t[1][usize::from(b[6])]
+            ^ t[0][usize::from(b[7])];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][usize::from(crc as u8 ^ b)];
     }
     !crc
+}
+
+/// Length of the CRC-covered header prefix: every header field before the
+/// checksum slot, which fills the rest of the header.
+const CRC_COVERED_HEADER: usize = 30;
+const _: () = assert!(CRC_COVERED_HEADER + 4 == FRAME_HEADER_LEN);
+
+/// The checksum a well-formed frame carries: CRC-32 over the covered
+/// header prefix, continued over the payload. `frame` must hold at least
+/// [`FRAME_HEADER_LEN`] bytes.
+fn frame_checksum(frame: &[u8]) -> u32 {
+    crc32(crc32(0, &frame[..CRC_COVERED_HEADER]), &frame[FRAME_HEADER_LEN..])
+}
+
+/// Writes [`frame_checksum`] into the frame's checksum slot.
+fn seal(frame: &mut [u8]) {
+    let crc = frame_checksum(frame);
+    frame[CRC_COVERED_HEADER..FRAME_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Wraps a PBIO message in an ECho network frame:
@@ -460,9 +523,9 @@ pub fn frame_qos(
     out.extend_from_slice(&index.to_le_bytes());
     out.extend_from_slice(&count.to_le_bytes());
     out.extend_from_slice(&epoch.to_le_bytes());
-    let crc = crc32(crc32(0, &out), pbio_msg);
-    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
     out.extend_from_slice(pbio_msg);
+    seal(&mut out);
     WireBytes::from(out)
 }
 
@@ -479,9 +542,8 @@ pub fn frame_qos(
 pub fn restamp_epoch(bytes: &[u8], epoch: u32) -> WireBytes {
     assert!(bytes.len() >= FRAME_HEADER_LEN, "restamp of a non-frame");
     let mut out = bytes.to_vec();
-    out[26..30].copy_from_slice(&epoch.to_le_bytes());
-    let crc = crc32(crc32(0, &out[..30]), &out[FRAME_HEADER_LEN..]);
-    out[30..34].copy_from_slice(&crc.to_le_bytes());
+    out[26..CRC_COVERED_HEADER].copy_from_slice(&epoch.to_le_bytes());
+    seal(&mut out);
     WireBytes::from(out)
 }
 
@@ -577,14 +639,14 @@ pub fn unframe(bytes: &[u8]) -> Result<Frame<'_>, FrameError> {
     let frag_count = u16::from_le_bytes([bytes[24], bytes[25]]);
     let epoch = u32::from_le_bytes([bytes[26], bytes[27], bytes[28], bytes[29]]);
     let stored = u32::from_le_bytes([bytes[30], bytes[31], bytes[32], bytes[33]]);
-    let payload = &bytes[FRAME_HEADER_LEN..];
-    if crc32(crc32(0, &bytes[..30]), payload) != stored {
+    if frame_checksum(bytes) != stored {
         return Err(FrameError::BadChecksum);
     }
     let qos = QosTier::from_wire(qos_byte).ok_or(FrameError::BadQos(qos_byte))?;
     if frag_count == 0 || frag_index >= frag_count {
         return Err(FrameError::BadFragment { index: frag_index, count: frag_count });
     }
+    let payload = &bytes[FRAME_HEADER_LEN..];
     Ok(Frame { kind, channel, seq, trace, qos, frag_index, frag_count, epoch, payload })
 }
 
@@ -728,6 +790,87 @@ mod tests {
         assert_eq!(unframe(&framed).unwrap().epoch, 1);
     }
 
+    /// The bitwise CRC-32 the slicing-by-8 tables must reproduce: one
+    /// polynomial step per input bit.
+    fn crc32_bitwise(seed: u32, bytes: &[u8]) -> u32 {
+        let mut crc = !seed;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = 0u32.wrapping_sub(crc & 1);
+                crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    fn random_bytes(rng: &mut simnet::XorShift64, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    #[test]
+    fn crc32_has_the_standard_check_value() {
+        assert_eq!(crc32(0, b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(0, b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(0, b""), 0);
+    }
+
+    #[test]
+    fn table_crc32_matches_the_bitwise_oracle() {
+        let mut rng = simnet::XorShift64::new(0xC4C32);
+        // Every short length (each tail length mod 8, with and without a
+        // full block in front), then random lengths up to 4 KiB.
+        let lengths =
+            (0..=24).chain((0..300).map(|_| rng.below(4097) as usize)).collect::<Vec<_>>();
+        for len in lengths {
+            let bytes = random_bytes(&mut rng, len);
+            let seed = rng.next_u64() as u32;
+            assert_eq!(
+                crc32(seed, &bytes),
+                crc32_bitwise(seed, &bytes),
+                "length {len}, seed {seed:#010x}"
+            );
+        }
+    }
+
+    #[test]
+    fn crc32_chains_across_split_points() {
+        let mut rng = simnet::XorShift64::new(0x5EED);
+        for _ in 0..200 {
+            let len = rng.below(600) as usize;
+            let whole = random_bytes(&mut rng, len);
+            let cut = rng.below(whole.len() as u64 + 1) as usize;
+            let (a, b) = whole.split_at(cut);
+            assert_eq!(crc32(crc32(0, a), b), crc32(0, &whole), "split at {cut}");
+        }
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        // A wire-compatibility anchor: the exact bytes of one frame,
+        // checksum included. A table or sealing bug changes the last header
+        // word and fails here, not only in a round trip.
+        let framed = frame_qos(
+            FRAME_EVENT,
+            ChannelId(0x0102_0304),
+            0x1122_3344_5566_7788,
+            0xA11CE,
+            QosTier::SequencedUnreliable,
+            1,
+            3,
+            7,
+            b"morph",
+        );
+        let want: [u8; FRAME_HEADER_LEN + 5] = [
+            0x01, 0x04, 0x03, 0x02, 0x01, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, 0xCE,
+            0x11, 0x0A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x03, 0x00, 0x07, 0x00,
+            0x00, 0x00, 0xAE, 0x8A, 0xA4, 0x8E, 0x6D, 0x6F, 0x72, 0x70, 0x68,
+        ];
+        assert_eq!(&framed[..], &want[..]);
+        // Restamping and re-sealing round-trips to the same bytes.
+        assert_eq!(&restamp_epoch(&restamp_epoch(&framed, 8), 7)[..], &want[..]);
+    }
+
     #[test]
     fn qos_tier_wire_encoding_is_stable() {
         for tier in QosTier::ALL {
@@ -745,8 +888,7 @@ mod tests {
     fn reseal(framed: &[u8], offset: usize, value: u8) -> Vec<u8> {
         let mut out = framed.to_vec();
         out[offset] = value;
-        let crc = crc32(crc32(0, &out[..30]), &out[FRAME_HEADER_LEN..]);
-        out[30..34].copy_from_slice(&crc.to_le_bytes());
+        seal(&mut out);
         out
     }
 

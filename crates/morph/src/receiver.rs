@@ -11,7 +11,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use ecode::{root_used_fields, FusedProgram};
 use obs::{
@@ -271,6 +271,11 @@ struct RxMetrics {
     compile_ns: Arc<Histogram>,
     maxmatch_ns: Arc<Histogram>,
     fused_apply_ns: Arc<Histogram>,
+    /// `pbio.decode_ns`, registered on the first warm decode: most control
+    /// receivers never replay a decision, and a histogram each would grow
+    /// every node for nothing.
+    decode_ns: OnceLock<Arc<Histogram>>,
+    registry: Arc<Registry>,
 }
 
 impl RxMetrics {
@@ -302,11 +307,24 @@ impl RxMetrics {
             compile_ns: registry.histogram("morph.compile_ns"),
             maxmatch_ns: registry.histogram("morph.maxmatch_ns"),
             fused_apply_ns: registry.histogram("morph.fused.apply_ns"),
+            decode_ns: OnceLock::new(),
+            registry,
         }
     }
 
     fn timer(&self, histogram: &Arc<Histogram>) -> Timer {
         Timer::start(Arc::clone(histogram), Arc::clone(&self.clock))
+    }
+
+    /// A warm-path decode, timed into `pbio.decode_ns` (failed decodes
+    /// record nothing). The node's stage probe reads this histogram to
+    /// split the decode stage out of each delivery.
+    fn timed_decode(&self, plan: &ConversionPlan, msg: &[u8]) -> pbio::Result<Value> {
+        let t0 = self.clock.now_ns();
+        let value = plan.execute(msg)?;
+        let elapsed = self.clock.now_ns().saturating_sub(t0);
+        self.decode_ns.get_or_init(|| self.registry.histogram("pbio.decode_ns")).record(elapsed);
+        Ok(value)
     }
 }
 
@@ -921,6 +939,23 @@ impl MorphReceiver {
         fused
     }
 
+    /// Decodes with `plan`: traced as a `morph.decode` span on the cold
+    /// pass, timed into `pbio.decode_ns` on warm replays.
+    fn decode(
+        &self,
+        plan: &ConversionPlan,
+        msg: &[u8],
+        trace_stages: bool,
+        parent: Option<SpanId>,
+    ) -> Result<Value> {
+        if trace_stages {
+            let _s = self.tspan("morph.decode", parent);
+            Ok(plan.execute(msg)?)
+        } else {
+            Ok(self.metrics.timed_decode(plan, msg)?)
+        }
+    }
+
     fn apply_decision(
         &mut self,
         decision: &Decision,
@@ -940,11 +975,7 @@ impl MorphReceiver {
         let result = (|| -> Result<Delivery> {
             match decision {
                 Decision::Plan { plan, target, .. } => {
-                    let value = {
-                        let _s =
-                            if trace_stages { self.tspan("morph.decode", aparent) } else { None };
-                        plan.execute(msg)?
-                    };
+                    let value = self.decode(plan, msg, trace_stages, aparent)?;
                     self.invoke(*target, value);
                     Ok(Delivery::Delivered(*target))
                 }
@@ -963,7 +994,7 @@ impl MorphReceiver {
                             }
                             let _t = self.metrics.timer(&self.metrics.fused_apply_ns);
                             let mut roots = Vec::with_capacity(f.templates.len() + 1);
-                            roots.push(f.decode.execute(msg)?);
+                            roots.push(self.metrics.timed_decode(&f.decode, msg)?);
                             roots.extend(f.templates.iter().cloned());
                             let stats = f.program.run_register(&mut roots)?;
                             self.metrics.batch_copies.add(stats.batch_copies);
@@ -984,11 +1015,7 @@ impl MorphReceiver {
                             return Ok(Delivery::Delivered(*target));
                         }
                     }
-                    let value = {
-                        let _s =
-                            if trace_stages { self.tspan("morph.decode", aparent) } else { None };
-                        decode.execute(msg)?
-                    };
+                    let value = self.decode(decode, msg, trace_stages, aparent)?;
                     let value = {
                         let mut s = if trace_stages {
                             self.tspan("morph.transform", aparent)
@@ -1022,11 +1049,7 @@ impl MorphReceiver {
                     Ok(Delivery::Delivered(*target))
                 }
                 Decision::Default { decode } => {
-                    let value = {
-                        let _s =
-                            if trace_stages { self.tspan("morph.decode", aparent) } else { None };
-                        decode.execute(msg)?
-                    };
+                    let value = self.decode(decode, msg, trace_stages, aparent)?;
                     if trace_stages {
                         self.tinstant("morph.default_delivery", aparent, &[]);
                     }
@@ -1496,6 +1519,30 @@ mod tests {
         assert!(vals[1..].iter().all(|v| v == &vals[0]));
         vals[4].check(&v1()).unwrap();
         assert_eq!(vals[4].field(&v1(), "src_count"), Some(&Value::Int(2)));
+    }
+
+    #[test]
+    fn warm_decodes_are_timed_into_pbio_decode_ns() {
+        let (_got, h) = sink();
+        let mut rx = MorphReceiver::new();
+        rx.register_handler(&v1(), h);
+        rx.import_transformation(Transformation::new(v2(), v1(), FIG5));
+        let registry = Arc::clone(rx.registry());
+        let decodes = || registry.snapshot().histogram("pbio.decode_ns").cloned();
+
+        rx.process(&v2_message(3)).unwrap(); // cold: traced as a span, not timed
+        assert!(decodes().is_none(), "registered on the first warm decode");
+        rx.process(&v2_message(3)).unwrap(); // warm fused replay
+        let after = decodes().unwrap();
+        assert_eq!(after.count, 1);
+        assert!(after.sum > 0, "the wall clock moved during the decode");
+        // A warm replay whose decode fails (a non-UTF-8 string) records
+        // nothing.
+        let mut msg = v2_message(3);
+        let at = msg.windows(5).position(|w| w == b"host-").unwrap();
+        msg[at] = 0xFF;
+        assert!(rx.process(&msg).is_err());
+        assert_eq!(decodes().unwrap().count, 1);
     }
 
     #[test]

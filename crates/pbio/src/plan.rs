@@ -77,7 +77,8 @@ enum ElemPlan {
 enum LenPlan {
     Fixed(usize),
     /// Count comes from the wire field at this index of the *enclosing*
-    /// record level (already decoded — validated at compile time).
+    /// record level (already decoded — resolved and validated at compile
+    /// time).
     WireField(usize),
 }
 
@@ -102,6 +103,10 @@ struct RecordPlan {
     /// `(array_field, count_field)` native index pairs to re-synchronize
     /// after decoding, maintaining the length-field invariant.
     len_syncs: Vec<(usize, usize)>,
+    /// True when some step is a count source, i.e. this level has a
+    /// variable-length array. Only such levels need a count table, so
+    /// records without one (most array elements) decode without it.
+    has_count_sources: bool,
 }
 
 /// A compiled wire-to-native conversion routine for one format pair.
@@ -145,8 +150,7 @@ impl ConversionPlan {
     /// length-field invariants (cannot happen for formats built through
     /// [`RecordFormat::new`]).
     pub fn compile(wire: &Arc<RecordFormat>, native: &Arc<RecordFormat>) -> Result<ConversionPlan> {
-        let mut root = compile_record(wire, native)?;
-        patch_tree(&mut root, wire);
+        let root = compile_record(wire, native)?;
         Ok(ConversionPlan { wire: Arc::clone(wire), native: Arc::clone(native), root })
     }
 
@@ -280,19 +284,10 @@ fn compile_record(wire: &RecordFormat, native: &RecordFormat) -> Result<RecordPl
         if let Some(i) = dst {
             taken[i] = true;
         }
-        let elem = compile_elem(wf.ty(), dst.map(|i| native.fields()[i].ty()))?;
+        let elem = compile_elem(wf.ty(), dst.map(|i| native.fields()[i].ty()), wire)?;
         steps.push(Step { dst, elem, is_count_source: false });
     }
-
-    // Mark wire integer fields that feed variable-length arrays.
-    for wf in wire.fields() {
-        if let FieldType::Array { len: ArrayLen::LengthField(name), .. } = wf.ty() {
-            let idx = wire
-                .field_index(name)
-                .ok_or_else(|| PbioError::BadFormat(format!("no length field `{name}`")))?;
-            steps[idx].is_count_source = true;
-        }
-    }
+    let has_count_sources = mark_count_sources(&mut steps);
 
     let prefill = native
         .fields()
@@ -314,10 +309,23 @@ fn compile_record(wire: &RecordFormat, native: &RecordFormat) -> Result<RecordPl
         })
         .collect();
 
-    Ok(RecordPlan { native_len: native.fields().len(), prefill, steps, len_syncs })
+    Ok(RecordPlan {
+        native_len: native.fields().len(),
+        prefill,
+        steps,
+        len_syncs,
+        has_count_sources,
+    })
 }
 
-fn compile_elem(wire_ty: &FieldType, native_ty: Option<&FieldType>) -> Result<ElemPlan> {
+/// Compiles one wire element. `level` is the record whose fields size any
+/// variable-length array in `wire_ty` — the field's own record, also for
+/// arrays nested inside array elements.
+fn compile_elem(
+    wire_ty: &FieldType,
+    native_ty: Option<&FieldType>,
+    level: &RecordFormat,
+) -> Result<ElemPlan> {
     match (wire_ty, native_ty) {
         (FieldType::Basic(wb), nb) => {
             let cast = match nb {
@@ -347,10 +355,14 @@ fn compile_elem(wire_ty: &FieldType, native_ty: Option<&FieldType>) -> Result<El
                 Some(_) => unreachable!("types_match checked array-vs-array"),
             };
             Ok(ElemPlan::Array {
-                elem: Box::new(compile_elem(elem, native_elem)?),
+                elem: Box::new(compile_elem(elem, native_elem, level)?),
                 len: match len {
                     ArrayLen::Fixed(n) => LenPlan::Fixed(*n),
-                    ArrayLen::LengthField(_) => LenPlan::WireField(0), // patched by caller
+                    ArrayLen::LengthField(name) => {
+                        LenPlan::WireField(level.field_index(name).ok_or_else(|| {
+                            PbioError::BadFormat(format!("no length field `{name}`"))
+                        })?)
+                    }
                 },
                 stride: elem.wire_stride(),
             })
@@ -363,33 +375,37 @@ fn compile_elem(wire_ty: &FieldType, native_ty: Option<&FieldType>) -> Result<El
 fn compile_skip_record(wire: &RecordFormat) -> Result<RecordPlan> {
     let mut steps = Vec::with_capacity(wire.fields().len());
     for wf in wire.fields() {
-        steps.push(Step { dst: None, elem: compile_elem(wf.ty(), None)?, is_count_source: false });
+        let elem = compile_elem(wf.ty(), None, wire)?;
+        steps.push(Step { dst: None, elem, is_count_source: false });
     }
-    for wf in wire.fields() {
-        if let FieldType::Array { len: ArrayLen::LengthField(name), .. } = wf.ty() {
-            let idx = wire
-                .field_index(name)
-                .ok_or_else(|| PbioError::BadFormat(format!("no length field `{name}`")))?;
-            steps[idx].is_count_source = true;
-        }
-    }
-    Ok(RecordPlan { native_len: 0, prefill: Vec::new(), steps, len_syncs: Vec::new() })
+    let has_count_sources = mark_count_sources(&mut steps);
+    Ok(RecordPlan {
+        native_len: 0,
+        prefill: Vec::new(),
+        steps,
+        len_syncs: Vec::new(),
+        has_count_sources,
+    })
 }
 
-// `compile_elem` cannot know the index of a variable array's length field —
-// that information lives at the record level. Patch it here.
-fn patch_var_lens(plan: &mut RecordPlan, wire: &RecordFormat) {
-    for (step, wf) in plan.steps.iter_mut().zip(wire.fields()) {
-        if let (
-            ElemPlan::Array { len: len_plan @ LenPlan::WireField(_), .. },
-            FieldType::Array { len: ArrayLen::LengthField(name), .. },
-        ) = (&mut step.elem, wf.ty())
-        {
-            if let Some(idx) = wire.field_index(name) {
-                *len_plan = LenPlan::WireField(idx);
+/// Flags the steps whose integers size a variable-length array at this
+/// record level — read by an array field or by an array nested inside an
+/// array field's elements. Returns whether any step was flagged.
+fn mark_count_sources(steps: &mut [Step]) -> bool {
+    let mut sources = Vec::new();
+    for step in steps.iter() {
+        let mut elem = &step.elem;
+        while let ElemPlan::Array { elem: inner, len, .. } = elem {
+            if let LenPlan::WireField(i) = len {
+                sources.push(*i);
             }
+            elem = inner;
         }
     }
+    for &i in &sources {
+        steps[i].is_count_source = true;
+    }
+    !sources.is_empty()
 }
 
 fn exec_record(plan: &RecordPlan, c: &mut Cursor<'_>) -> Result<Value> {
@@ -400,7 +416,10 @@ fn exec_record(plan: &RecordPlan, c: &mut Cursor<'_>) -> Result<Value> {
             out[*i] = v.clone();
         }
     }
-    let mut counts: Vec<u64> = vec![0; plan.steps.len()];
+    // `Vec::new` does not allocate: a level without count sources has no
+    // variable-length array to read a count for.
+    let mut counts: Vec<u64> =
+        if plan.has_count_sources { vec![0; plan.steps.len()] } else { Vec::new() };
     for (wi, step) in plan.steps.iter().enumerate() {
         let v = exec_elem(&step.elem, c, &counts, step.dst.is_some())?;
         if step.is_count_source {
@@ -513,21 +532,6 @@ fn apply_cast_u(v: u64, cast: Cast) -> Value {
         Cast::ToUInt(w) => Value::UInt(w.wrap_u64(v)),
         Cast::ToFloat => Value::Float(v as f64),
         Cast::Same => Value::UInt(v),
-    }
-}
-
-fn patch_tree(plan: &mut RecordPlan, wire: &RecordFormat) {
-    patch_var_lens(plan, wire);
-    for (step, wf) in plan.steps.iter_mut().zip(wire.fields()) {
-        patch_elem(&mut step.elem, wf.ty());
-    }
-}
-
-fn patch_elem(elem: &mut ElemPlan, wire_ty: &FieldType) {
-    match (elem, wire_ty) {
-        (ElemPlan::Record(rp), FieldType::Record(wr)) => patch_tree(rp, wr),
-        (ElemPlan::Array { elem, .. }, FieldType::Array { elem: we, .. }) => patch_elem(elem, we),
-        _ => {}
     }
 }
 
@@ -768,6 +772,216 @@ mod tests {
         let payload = crate::encode::HEADER_LEN;
         bad[payload..payload + 4].copy_from_slice(&0x7fff_ffffu32.to_le_bytes());
         assert!(matches!(plan.execute(&bad), Err(PbioError::UnexpectedEof)));
+    }
+
+    /// Runs the identity plan, the all-fields projection, and every
+    /// single-field projection of `fmt` over `wire`, each checked against
+    /// the meta-data-driven `decode_payload`.
+    fn assert_plans_match_decode_payload(fmt: &Arc<RecordFormat>, wire: &[u8]) {
+        let full = crate::decode::decode_payload(fmt, wire).unwrap();
+        assert_eq!(ConversionPlan::identity(fmt).unwrap().execute(wire).unwrap(), full);
+        let n = fmt.fields().len();
+        let all = ConversionPlan::project(fmt, &vec![true; n]).unwrap();
+        assert_eq!(all.execute(wire).unwrap(), full);
+        let wire_fields = full.as_record().unwrap();
+        for keep in 0..n {
+            let used: Vec<bool> = (0..n).map(|i| i == keep).collect();
+            let got = ConversionPlan::project(fmt, &used).unwrap().execute(wire).unwrap();
+            // A kept variable array re-syncs its (dropped) count field.
+            let synced = match fmt.fields()[keep].ty() {
+                FieldType::Array { len: ArrayLen::LengthField(lf), .. } => fmt.field_index(lf),
+                _ => None,
+            };
+            for (i, fd) in fmt.fields().iter().enumerate() {
+                let want = if i == keep || Some(i) == synced {
+                    wire_fields[i].clone()
+                } else {
+                    fd.default().cloned().unwrap_or_else(|| Value::default_for(fd.ty()))
+                };
+                assert_eq!(got.as_record().unwrap()[i], want, "field {i} projected onto {keep}");
+            }
+        }
+    }
+
+    #[test]
+    fn plans_match_decode_payload_without_count_sources() {
+        // Member records (the evolve workload's array elements) carry no
+        // count source; neither does any level of `Shape`.
+        let members = Value::Record(vec![
+            Value::Int(3),
+            Value::Array(
+                (0..3)
+                    .map(|i| {
+                        Value::Record(vec![
+                            Value::str(format!("host-{i}")),
+                            Value::Int(i),
+                            Value::Int(i % 2),
+                            Value::Int(1 - i % 2),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ]);
+        let fmt = resp(true);
+        assert_plans_match_decode_payload(&fmt, &Encoder::new(&fmt).encode(&members).unwrap());
+
+        let point = FormatBuilder::record("Point").double("x").string("label").build_arc().unwrap();
+        let shape = FormatBuilder::record("Shape")
+            .string("name")
+            .fixed_array("corners", FieldType::Record(point), 2)
+            .int("id")
+            .build_arc()
+            .unwrap();
+        let corner =
+            |x: f64, l: &str| Value::Record(vec![Value::Float(x), Value::str(l.to_string())]);
+        let v = Value::Record(vec![
+            Value::str("tri"),
+            Value::Array(vec![corner(1.5, "a"), corner(-2.0, "")]),
+            Value::Int(9),
+        ]);
+        assert_plans_match_decode_payload(&shape, &Encoder::new(&shape).encode(&v).unwrap());
+    }
+
+    /// `Group { int count; Member list[count]; string trailer }` whose
+    /// members carry their own counted arrays: `tags[ntags]` of records
+    /// (no fixed stride, 8-byte count) and `ids[nids]` of ints (fixed
+    /// stride).
+    fn nested_counted() -> Arc<RecordFormat> {
+        use crate::types::Width;
+        let tag = FormatBuilder::record("Tag").string("k").int("v").build_arc().unwrap();
+        let member = FormatBuilder::record("Member")
+            .string("info")
+            .field("ntags", FieldType::Basic(BasicType::UInt(Width::W8)))
+            .var_array_of("tags", tag, "ntags")
+            .int("nids")
+            .var_array_basic("ids", BasicType::Int(Width::W4), "nids")
+            .build_arc()
+            .unwrap();
+        FormatBuilder::record("Group")
+            .int("count")
+            .var_array_of("list", member, "count")
+            .string("trailer")
+            .build_arc()
+            .unwrap()
+    }
+
+    fn nested_member(i: i64) -> Value {
+        let tags: Vec<Value> = (0..i)
+            .map(|t| Value::Record(vec![Value::str(format!("k{t}")), Value::Int(t * 10)]))
+            .collect();
+        let ids: Vec<Value> = (0..(3 - i)).map(Value::Int).collect();
+        Value::Record(vec![
+            Value::str(format!("m{i}")),
+            Value::UInt(tags.len() as u64),
+            Value::Array(tags),
+            Value::Int(ids.len() as i64),
+            Value::Array(ids),
+        ])
+    }
+
+    #[test]
+    fn plans_match_decode_payload_with_nested_counted_arrays() {
+        let fmt = nested_counted();
+        let v = Value::Record(vec![
+            Value::Int(3),
+            Value::Array((0..3).map(nested_member).collect()),
+            Value::str("end"),
+        ]);
+        assert_plans_match_decode_payload(&fmt, &Encoder::new(&fmt).encode(&v).unwrap());
+    }
+
+    #[test]
+    fn plans_match_decode_payload_for_arrays_of_counted_arrays() {
+        // A fixed array whose elements are variable arrays sized by a count
+        // field of the enclosing record.
+        use crate::types::Width;
+        let row = FieldType::Array {
+            elem: Box::new(FieldType::Basic(BasicType::Int(Width::W4))),
+            len: ArrayLen::LengthField("m".into()),
+        };
+        let fmt = FormatBuilder::record("Grid")
+            .int("m")
+            .fixed_array("rows", row, 2)
+            .string("tail")
+            .build_arc()
+            .unwrap();
+        let ints = |xs: &[i64]| Value::Array(xs.iter().copied().map(Value::Int).collect());
+        let v = Value::Record(vec![
+            Value::Int(3),
+            Value::Array(vec![ints(&[1, 2, 3]), ints(&[4, 5, 6])]),
+            Value::str("t"),
+        ]);
+        assert_plans_match_decode_payload(&fmt, &Encoder::new(&fmt).encode(&v).unwrap());
+    }
+
+    /// Every plan shape `nested_counted` compiles to.
+    fn nested_plans() -> Vec<ConversionPlan> {
+        let fmt = nested_counted();
+        vec![
+            ConversionPlan::identity(&fmt).unwrap(),
+            ConversionPlan::project(&fmt, &[true, true, true]).unwrap(),
+            ConversionPlan::project(&fmt, &[false, false, true]).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn truncated_nested_payloads_are_errors() {
+        let fmt = nested_counted();
+        let v = Value::Record(vec![
+            Value::Int(3),
+            Value::Array((0..3).map(nested_member).collect()),
+            Value::str("end"),
+        ]);
+        let wire = Encoder::new(&fmt).encode(&v).unwrap();
+        let payload = &wire[HEADER_LEN..];
+        for plan in nested_plans() {
+            assert!(plan.execute_payload(payload).is_ok());
+            for cut in 0..payload.len() {
+                assert!(plan.execute_payload(&payload[..cut]).is_err(), "cut at {cut}");
+            }
+            for cut in 0..wire.len() {
+                assert!(plan.execute(&wire[..cut]).is_err(), "message cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_count_fields_are_errors_without_oversized_reservations() {
+        // Hand-built little-endian payloads whose count fields claim far
+        // more elements than the bytes that follow. Each must fail as
+        // truncation. A reservation sized by the claimed count would ask
+        // the allocator for terabytes (2^40 `Value`s) and abort the test
+        // process; the plan caps element reservations at 2^16 unless a
+        // fixed stride has already proved the whole range is present.
+        let fmt = nested_counted();
+        let int4 = |v: i32| v.to_le_bytes().to_vec();
+        let hostile: Vec<(&str, Vec<u8>)> = vec![
+            // list claims i32::MAX members; one is present.
+            ("count", [int4(i32::MAX), b"m\0".to_vec(), vec![0; 8], int4(0)].concat()),
+            // A member claims 2^40 tag records.
+            ("ntags", [int4(1), b"m\0".to_vec(), (1u64 << 40).to_le_bytes().to_vec()].concat()),
+            // A member claims u64::MAX tag records.
+            ("ntags max", [int4(1), b"m\0".to_vec(), u64::MAX.to_le_bytes().to_vec()].concat()),
+            // A member claims i32::MAX ids (fixed stride: checked as a block).
+            ("nids", [int4(1), b"m\0".to_vec(), vec![0; 8], int4(i32::MAX), int4(7)].concat()),
+        ];
+        let mut header = Encoder::new(&fmt)
+            .encode(&Value::Record(vec![Value::Int(0), Value::Array(vec![]), Value::str("")]))
+            .unwrap();
+        header.truncate(HEADER_LEN);
+        for (what, payload) in hostile {
+            let mut msg = header.clone();
+            msg[12..16].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+            msg.extend_from_slice(&payload);
+            assert!(crate::decode::decode_payload(&fmt, &msg).is_err(), "{what}: oracle");
+            for plan in nested_plans() {
+                assert!(
+                    matches!(plan.execute(&msg), Err(PbioError::UnexpectedEof)),
+                    "{what}: {:?}",
+                    plan.execute(&msg)
+                );
+            }
+        }
     }
 
     #[test]
