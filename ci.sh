@@ -23,15 +23,20 @@ echo "==> cargo build --release (offline-capable)"
 cargo build --release
 
 echo "==> cargo test -q (every workspace member: units, integration, properties)"
-# Includes tests/chaos.rs on its baked-in seeds (0xC0FFEE, 0xDEADBEEF, 42).
+# Includes tests/chaos.rs and tests/config_matrix.rs on their baked-in
+# seeds (0xC0FFEE, 0xDEADBEEF, 42).
 cargo test -q
 
 echo "==> chaos seed matrix (extra seeds beyond the baked-in trio)"
 # Covers every scenario in tests/chaos.rs, including the fragmentation
-# run (loss + duplication + reordering over multi-fragment events).
+# run (loss + duplication + reordering over multi-fragment events), and
+# the same lossy fragmentation run under all 16 EchoConfig combinations
+# in tests/config_matrix.rs.
 for s in ${CHAOS_SEEDS:-1 7}; do
     echo "    CHAOS_SEED=$s cargo test -q --test chaos"
     CHAOS_SEED="$s" cargo test -q --test chaos
+    echo "    CHAOS_SEED=$s cargo test -q --test config_matrix"
+    CHAOS_SEED="$s" cargo test -q --test config_matrix
 done
 
 echo "==> examples (offline smoke runs; each asserts its own output)"

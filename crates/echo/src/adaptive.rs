@@ -105,8 +105,8 @@ impl AdaptiveQueue {
     }
 }
 
-/// The system's three adaptive watermarks, created by
-/// [`crate::EchoSystem::enable_adaptive_shedding`].
+/// The system's three adaptive watermarks, present when
+/// [`crate::EchoConfig::adaptive_shedding`] is set.
 #[derive(Debug)]
 pub(crate) struct AdaptiveShedding {
     pub retry: AdaptiveQueue,

@@ -138,13 +138,6 @@ impl ReassemblyBuffer {
         ReassemblyBuffer { capacity: capacity.max(1), timeout_ns, entries: VecDeque::new() }
     }
 
-    /// Re-bounds the buffer. A shrunken capacity takes effect on the next
-    /// insert; a shortened timeout on the next sweep.
-    pub fn set_limits(&mut self, capacity: usize, timeout_ns: u64) {
-        self.capacity = capacity.max(1);
-        self.timeout_ns = timeout_ns;
-    }
-
     /// In-progress sets currently held.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -35,7 +35,7 @@ pub use journal::{Journal, JournalEntry, JournalStats, Recovered};
 pub use node::{EchoVersion, Role};
 pub use proto::{ChannelId, Frame, FrameError, MemberInfo, QosTier};
 pub use shard::{fnv1a, shard_of_name};
-pub use system::{EchoSystem, ProcessId};
+pub use system::{EchoConfig, EchoSystem, ProcessId};
 
 /// Errors from the ECho middleware.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,6 +64,8 @@ pub enum EchoError {
         /// Configured frame budget in bytes.
         budget: usize,
     },
+    /// An [`EchoConfig`] value was rejected by [`EchoSystem::with_config`].
+    InvalidConfig(&'static str),
 }
 
 impl fmt::Display for EchoError {
@@ -80,6 +82,7 @@ impl fmt::Display for EchoError {
             EchoError::MessageTooLarge { len, budget } => {
                 write!(f, "{len}-byte event cannot split into ≤65535 fragments of {budget} bytes")
             }
+            EchoError::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
         }
     }
 }

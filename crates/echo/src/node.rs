@@ -19,12 +19,6 @@ use crate::EchoError;
 /// remembers for duplicate suppression.
 const DEDUP_WINDOW: usize = 4096;
 
-/// Default bound on in-progress fragment sets per channel.
-const REASSEMBLY_CAPACITY: usize = 32;
-
-/// Default virtual-clock age at which a partial fragment set dead-letters.
-const REASSEMBLY_TIMEOUT_NS: u64 = 500_000_000;
-
 /// How many quarantined messages a node keeps (counters track the true
 /// totals beyond this bound).
 const DLQ_CAPACITY: usize = 256;
@@ -210,6 +204,7 @@ pub(crate) struct NodeState {
     seen_order: VecDeque<(u64, u64, u16)>,
     /// In-progress fragment sets, per channel.
     reassembly: HashMap<ChannelId, ReassemblyBuffer>,
+    /// Bounds every reassembly buffer is created with.
     reassembly_capacity: usize,
     reassembly_timeout_ns: u64,
     /// Sequenced newest-wins watermark: latest message seq seen per
@@ -316,7 +311,15 @@ fn process_staged(
 }
 
 impl NodeState {
-    pub fn new(name: String, version: EchoVersion) -> NodeState {
+    /// A fresh process whose per-channel reassembly buffers each hold at
+    /// most `reassembly_capacity` in-progress sets and expire a set
+    /// `reassembly_timeout_ns` after its first fragment arrives.
+    pub fn new(
+        name: String,
+        version: EchoVersion,
+        reassembly_capacity: usize,
+        reassembly_timeout_ns: u64,
+    ) -> NodeState {
         let requests: ControlInbox = Arc::new(Mutex::new(Vec::new()));
         let responses: ControlInbox = Arc::new(Mutex::new(Vec::new()));
         let mut control_rx = MorphReceiver::new();
@@ -360,8 +363,8 @@ impl NodeState {
             seen_seqs: HashSet::new(),
             seen_order: VecDeque::new(),
             reassembly: HashMap::new(),
-            reassembly_capacity: REASSEMBLY_CAPACITY,
-            reassembly_timeout_ns: REASSEMBLY_TIMEOUT_NS,
+            reassembly_capacity,
+            reassembly_timeout_ns,
             latest_seq: HashMap::new(),
             now_ns: 0,
             dlq,
@@ -433,15 +436,6 @@ impl NodeState {
     /// registry's `echo.stage.encode.ns`.
     pub fn record_encode_ns(&self, ns: u64) {
         self.encode_ns.record(ns);
-    }
-
-    /// Re-bounds every (current and future) per-channel reassembly buffer.
-    pub fn configure_reassembly(&mut self, capacity: usize, timeout_ns: u64) {
-        self.reassembly_capacity = capacity.max(1);
-        self.reassembly_timeout_ns = timeout_ns;
-        for buf in self.reassembly.values_mut() {
-            buf.set_limits(capacity, timeout_ns);
-        }
     }
 
     /// In-progress fragment sets across all channels.
@@ -1162,6 +1156,11 @@ impl NodeState {
 mod tests {
     use super::*;
 
+    /// A receiving process with roomy reassembly limits.
+    fn sink(version: EchoVersion) -> NodeState {
+        NodeState::new("sink".into(), version, 32, 500_000_000)
+    }
+
     fn event_frame(seq: u64) -> WireBytes {
         proto::frame(proto::FRAME_EVENT, ChannelId(1), seq, proto::NO_TRACE, b"")
     }
@@ -1172,7 +1171,7 @@ mod tests {
         // e.g. both starting their counters at 0 after a restart. Keying
         // dedup on the bare seq would silently drop the second sender's
         // traffic; the key must be the (sender, seq) pair.
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = sink(EchoVersion::V2);
         let f = event_frame(7);
         assert!(matches!(node.handle_frame(0, &f).disposition, Disposition::Handled(..)));
         assert!(
@@ -1188,7 +1187,7 @@ mod tests {
 
     #[test]
     fn dedup_window_is_bounded_and_forgets_oldest_pairs() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = sink(EchoVersion::V2);
         assert!(matches!(
             node.handle_frame(0, &event_frame(0)).disposition,
             Disposition::Handled(..)
@@ -1219,7 +1218,7 @@ mod tests {
         // staged pass, the second a warm fused replay whose decode is timed
         // into the receiver's pbio.decode_ns — which the stage probe turns
         // into echo.stage.decode.ns.
-        let mut node = NodeState::new("sink".into(), EchoVersion::V1);
+        let mut node = sink(EchoVersion::V1);
         node.expect_events(ChannelId(1), &proto::channel_open_response_v1());
         node.import_metadata(
             &[proto::channel_open_response_v2()],
@@ -1264,7 +1263,7 @@ mod tests {
 
     #[test]
     fn fragments_buffer_then_reassemble_on_completion() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = sink(EchoVersion::V2);
         let a = frag_frame(QosTier::Reliable, 3, 0, 2, b"he");
         let b = frag_frame(QosTier::Reliable, 3, 1, 2, b"llo");
         assert!(matches!(
@@ -1283,7 +1282,7 @@ mod tests {
 
     #[test]
     fn sequenced_channels_drop_stale_frames_newest_wins() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = sink(EchoVersion::V2);
         let newer = frag_frame(QosTier::SequencedUnreliable, 9, 0, 1, b"new");
         let older = frag_frame(QosTier::SequencedUnreliable, 4, 0, 1, b"old");
         assert!(matches!(node.handle_frame(0, &newer).disposition, Disposition::Handled(..)));
@@ -1297,7 +1296,7 @@ mod tests {
 
     #[test]
     fn newer_sequenced_message_supersedes_in_progress_older_set() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = sink(EchoVersion::V2);
         let part = frag_frame(QosTier::SequencedUnreliable, 4, 0, 3, b"x");
         assert!(matches!(
             node.handle_frame(0, &part).disposition,
@@ -1313,8 +1312,7 @@ mod tests {
 
     #[test]
     fn partial_sets_expire_into_the_dlq_as_partial_fragments() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
-        node.configure_reassembly(8, 1_000);
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, 8, 1_000);
         let part = frag_frame(QosTier::Reliable, 7, 0, 2, b"half");
         assert!(matches!(
             node.handle_frame(0, &part).disposition,
@@ -1334,7 +1332,7 @@ mod tests {
 
     #[test]
     fn fragmented_control_frames_are_protocol_violations() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = sink(EchoVersion::V2);
         let bad = proto::frame_qos(
             proto::FRAME_CONTROL,
             ChannelId(1),
@@ -1354,7 +1352,7 @@ mod tests {
 
     #[test]
     fn higher_epoch_resumes_and_older_epoch_frames_are_fenced() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = sink(EchoVersion::V2);
         // Any higher-epoch frame is an implicit resume handshake.
         let fresh = proto::restamp_epoch(&event_frame(8), 1);
         let out = node.handle_frame(0, &fresh);
@@ -1378,7 +1376,7 @@ mod tests {
 
     #[test]
     fn explicit_resume_handshake_bumps_without_delivering() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = sink(EchoVersion::V2);
         let resume = proto::frame_qos(
             proto::FRAME_RESUME,
             ChannelId(0),
@@ -1400,7 +1398,7 @@ mod tests {
 
     #[test]
     fn crash_amnesia_forgets_dedup_and_dead_letters_partials() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = sink(EchoVersion::V2);
         assert!(matches!(
             node.handle_frame(0, &event_frame(7)).disposition,
             Disposition::Handled(..)

@@ -45,6 +45,116 @@ const RETRY_QUEUE_CAPACITY: usize = 64;
 /// shed policy as the retry queue.
 const INGRESS_CAPACITY: usize = 64;
 
+/// Default bound on in-progress fragment sets per channel.
+const REASSEMBLY_CAPACITY: usize = 32;
+
+/// Default virtual-clock age at which a partial fragment set dead-letters.
+const REASSEMBLY_TIMEOUT_NS: u64 = 500_000_000;
+
+/// Everything about an [`EchoSystem`] that is fixed for its lifetime,
+/// validated once by [`EchoSystem::with_config`]. The default is the
+/// system [`EchoSystem::new`] builds.
+///
+/// ```
+/// # fn main() -> Result<(), echo::EchoError> {
+/// use echo::{EchoConfig, EchoSystem};
+///
+/// let cfg = EchoConfig { frame_budget: Some(512), journal_batch: Some(4), ..Default::default() };
+/// let _sys = EchoSystem::with_config(cfg)?;
+/// let zero = EchoConfig { frame_budget: Some(0), ..EchoConfig::default() };
+/// assert!(EchoSystem::with_config(zero).is_err());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EchoConfig {
+    /// Backoff and budget for re-sending frames a down link refused.
+    pub retry_policy: RetryPolicy,
+    /// Bound on the link-down retry queue. Admissions past it shed the
+    /// oldest lowest-tier queued event frame into the sender's dead-letter
+    /// queue with [`DeadReason::Shed`]; control frames are never shed.
+    pub retry_queue_capacity: usize,
+    /// Bound on each paused process's ingress buffer, with the retry
+    /// queue's shed policy (victims quarantine at the *receiver*).
+    pub ingress_capacity: usize,
+    /// When set, encoded event payloads larger than this many bytes split
+    /// into fragments of at most this size, reassembled at each receiver.
+    /// `None` never fragments; control frames never fragment. To traverse
+    /// an MTU-limited link ([`EchoSystem::set_link_mtu`]) the budget plus
+    /// the frame header must fit the MTU. Must be at least 1.
+    pub frame_budget: Option<usize>,
+    /// In-progress fragment sets each process buffers per channel (oldest
+    /// incomplete evicted past it). Must be at least 1.
+    pub reassembly_capacity: usize,
+    /// Virtual-clock age at which a partial fragment set dead-letters.
+    pub reassembly_timeout_ns: u64,
+    /// Load-adaptive shed watermarks: the retry queue, the ingress
+    /// buffers, and the sharded runtime's mailboxes each compare their
+    /// windowed arrival rate against their drain rate on the virtual
+    /// clock, halving the effective capacity (down to a floor of base/8)
+    /// while arrivals overrun drains and doubling it back once drains
+    /// recover, with hysteresis. The configured capacities are the
+    /// ceilings; shedding itself stays tier-ordered
+    /// ([`proto::shed_class`]). Every decision is counted
+    /// (`echo.adaptive.<queue>.tightened` / `.relaxed`), the live bound is
+    /// exported (`echo.adaptive.<queue>.capacity`), and decisions triggered
+    /// by a traced frame drop `echo.adaptive.tighten` / `.relax` instants
+    /// into its trace.
+    pub adaptive_shedding: bool,
+    /// Per-link bandwidth/RTT monitors over a rolling window of
+    /// `(slots, slot_ns)`: every directed link gains rolling-window gauges
+    /// (`simnet.link.<from>-><to>.bandwidth_bps` / `.frames_per_sec` /
+    /// `.loss_per_mille` / `.rtt_ewma_ns`) in the system registry, sampled
+    /// on the virtual clock — see [`simnet::Network::enable_link_monitors`].
+    /// Both values must be at least 1.
+    pub link_monitors: Option<(usize, u64)>,
+    /// A durable delivery journal per process with this fsync-batch
+    /// boundary (see [`crate::Journal`]). Journaling upgrades the Reliable
+    /// tier's exactly-once from "while the process lives" to "across
+    /// crash-restarts": without it a restarted process neither redelivers
+    /// its unacked frames nor remembers what it already delivered. Must be
+    /// at least 1.
+    pub journal_batch: Option<usize>,
+}
+
+impl Default for EchoConfig {
+    fn default() -> EchoConfig {
+        EchoConfig {
+            retry_policy: RetryPolicy::with_seed(0xEC40),
+            retry_queue_capacity: RETRY_QUEUE_CAPACITY,
+            ingress_capacity: INGRESS_CAPACITY,
+            frame_budget: None,
+            reassembly_capacity: REASSEMBLY_CAPACITY,
+            reassembly_timeout_ns: REASSEMBLY_TIMEOUT_NS,
+            adaptive_shedding: false,
+            link_monitors: None,
+            journal_batch: None,
+        }
+    }
+}
+
+impl EchoConfig {
+    /// Rejects the values no component can honour.
+    fn validate(&self) -> Result<(), EchoError> {
+        let adaptive_over_zero = self.adaptive_shedding
+            && (self.retry_queue_capacity == 0 || self.ingress_capacity == 0);
+        let refusals = [
+            (self.frame_budget == Some(0), "frame_budget must be at least 1 byte"),
+            (self.reassembly_capacity == 0, "reassembly_capacity must be at least 1"),
+            (self.journal_batch == Some(0), "journal_batch must be at least 1"),
+            (
+                matches!(self.link_monitors, Some((0, _) | (_, 0))),
+                "link_monitors needs at least 1 slot of at least 1 ns",
+            ),
+            (adaptive_over_zero, "adaptive_shedding needs nonzero queue capacities"),
+        ];
+        match refusals.into_iter().find(|&(refused, _)| refused) {
+            Some((_, why)) => Err(EchoError::InvalidConfig(why)),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Window geometry for per-channel throughput: eight 1 ms virtual-time
 /// slots, matching the adaptive watermarks' horizon.
 const CHANNEL_RATE_SLOTS: usize = 8;
@@ -326,25 +436,22 @@ pub struct EchoSystem {
     derived: HashMap<(ChannelId, String), CompiledXform>,
     next_channel: u32,
     metrics: SysMetrics,
-    /// Frames refused by a down/partitioned link, awaiting re-send.
-    /// Bounded by `retry_capacity` under the shed policy.
+    /// The validated configuration the system was built with.
+    config: EchoConfig,
+    /// Frames refused by a down/partitioned link, awaiting re-send under
+    /// the configured retry policy. Bounded by the retry-queue capacity:
+    /// when full, the oldest queued *event* frame is shed to its sender's
+    /// dead-letter queue; control frames are never shed (they may exceed
+    /// the bound).
     pending: Vec<PendingFrame>,
-    /// Backoff/budget policy for those re-sends.
-    retry: RetryPolicy,
-    /// Bound on `pending`: when full, the oldest queued *event* frame is
-    /// shed to its sender's dead-letter queue; control frames are never
-    /// shed (they may exceed the bound).
-    retry_capacity: usize,
     /// Per-process pause flags: deliveries to a paused process buffer in
     /// `ingress` instead of dispatching.
     paused: Vec<bool>,
     /// Per-process ingress buffers of `(sender index, arrival virtual
     /// time, frame)`, filled while paused, drained by [`EchoSystem::run`]
-    /// once resumed. Bounded by `ingress_capacity` under the shed policy;
-    /// the arrival stamp feeds the queue-wait stage histogram.
+    /// once resumed. Bounded by the ingress capacity under the shed
+    /// policy; the arrival stamp feeds the queue-wait stage histogram.
     ingress: Vec<VecDeque<(usize, u64, WireBytes)>>,
-    /// Bound on each ingress buffer.
-    ingress_capacity: usize,
     /// Flight recorder on the virtual clock: one causal trace per publish
     /// or subscription, shared by every process and the network.
     recorder: Arc<FlightRecorder>,
@@ -352,8 +459,6 @@ pub struct EchoSystem {
     /// the high-rate data-plane mode. Control-plane operations
     /// (subscribe/unsubscribe) always trace; they are rare and diagnostic.
     tracing: bool,
-    /// Worker shard count used by [`EchoSystem::run_wall_clock`].
-    shards: usize,
     /// System-wide morph caches, present once
     /// [`EchoSystem::enable_shared_morph_caches`] opted in; applied to
     /// every existing and future process.
@@ -364,23 +469,15 @@ pub struct EchoSystem {
     /// Per-channel delivery tier; channels not present run
     /// [`QosTier::Reliable`].
     qos: HashMap<ChannelId, QosTier>,
-    /// When set, encoded event payloads larger than this many bytes split
-    /// into fragments of at most this size ([`EchoSystem::set_frame_budget`]).
-    frame_budget: Option<usize>,
-    /// Reassembly bounds applied to every existing and future process once
-    /// overridden ([`EchoSystem::set_reassembly_limits`]).
-    reassembly_limits: Option<(usize, u64)>,
-    /// Load-adaptive shed watermarks, present once
-    /// [`EchoSystem::enable_adaptive_shedding`] opted in.
+    /// Load-adaptive shed watermarks, present when
+    /// [`EchoConfig::adaptive_shedding`] is set.
     adaptive: Option<AdaptiveShedding>,
     /// Periodic self-telemetry publisher, present once
     /// [`EchoSystem::enable_self_telemetry`] opted in.
     telemetry: Option<TelemetryState>,
-    /// Per-process durable delivery journals, present once
-    /// [`EchoSystem::enable_journaling`] opted in.
+    /// Per-process durable delivery journals, present when
+    /// [`EchoConfig::journal_batch`] is set.
     journals: Vec<Option<Journal>>,
-    /// Fsync-batch boundary for the journals of future processes.
-    journal_batch: Option<usize>,
 }
 
 /// State of the periodic self-telemetry publisher.
@@ -407,6 +504,16 @@ struct TelemetryState {
     published: Arc<Counter>,
     /// `echo.telemetry.bytes` — encoded telemetry payload bytes.
     bytes: Arc<Counter>,
+}
+
+/// What one run-loop turn ([`EchoSystem::turn`]) left the loop to do.
+enum Turn<T> {
+    /// Deliver this work, then turn again.
+    Work(T),
+    /// Nothing deliverable yet (virtual time may have advanced); turn again.
+    Again,
+    /// Nothing in flight and nothing pending: the run is over.
+    Quiescent,
 }
 
 /// A frame whose send was refused (link down); retried with backoff until
@@ -459,22 +566,48 @@ impl std::fmt::Debug for EchoSystem {
 }
 
 impl EchoSystem {
-    /// Creates an empty system. The v2.0 → v1.0 `ChannelOpenResponse`
-    /// retro-transformation (paper Fig. 5) is pre-distributed as out-of-band
-    /// meta-data, as the v2.0 release would ship it.
+    /// Creates an empty system with the default [`EchoConfig`]. The v2.0 →
+    /// v1.0 `ChannelOpenResponse` retro-transformation (paper Fig. 5) is
+    /// pre-distributed as out-of-band meta-data, as the v2.0 release would
+    /// ship it.
     pub fn new() -> EchoSystem {
+        EchoSystem::with_config(EchoConfig::default()).expect("the default configuration is valid")
+    }
+
+    /// Creates an empty system fixed to `config` for its lifetime.
+    ///
+    /// # Errors
+    ///
+    /// [`EchoError::InvalidConfig`] for a zero frame budget, reassembly
+    /// capacity, journal batch, or link-monitor window, and for adaptive
+    /// shedding over a zero-capacity queue.
+    pub fn with_config(config: EchoConfig) -> Result<EchoSystem, EchoError> {
+        config.validate()?;
         let mut net = Network::new();
         // The system registry stamps snapshots with *virtual* time and
         // mirrors the network's traffic totals, so two identical runs
         // produce byte-identical snapshots.
         let registry = Arc::new(Registry::with_clock(Arc::new(net.virtual_clock())));
         net.attach_registry(Arc::clone(&registry));
+        if let Some((slots, slot_ns)) = config.link_monitors {
+            net.enable_link_monitors(slots, slot_ns);
+        }
+        // Adaptive metric handles exist only when opted in, so other
+        // systems keep their snapshot catalogue unchanged.
+        let adaptive = config.adaptive_shedding.then(|| {
+            AdaptiveShedding::new(
+                &registry,
+                config.retry_queue_capacity,
+                config.ingress_capacity,
+                crate::driver::DEFAULT_MAILBOX_CAPACITY,
+            )
+        });
         // The recorder shares the virtual clock, so span timestamps — and
         // therefore exported traces — are deterministic per seed.
         let recorder = Arc::new(FlightRecorder::new(TRACE_CAPACITY, Arc::new(net.virtual_clock())));
         registry.set_recorder(Arc::clone(&recorder));
         net.attach_recorder(Arc::clone(&recorder));
-        EchoSystem {
+        Ok(EchoSystem {
             net,
             nodes: Vec::new(),
             net_ids: Vec::new(),
@@ -483,25 +616,19 @@ impl EchoSystem {
             derived: HashMap::new(),
             next_channel: 1,
             metrics: SysMetrics::new(registry),
+            config,
             pending: Vec::new(),
-            retry: RetryPolicy::with_seed(0xEC40),
-            retry_capacity: RETRY_QUEUE_CAPACITY,
             paused: Vec::new(),
             ingress: Vec::new(),
-            ingress_capacity: INGRESS_CAPACITY,
             recorder,
             tracing: true,
-            shards: 1,
             shared_caches: None,
             shard_metrics: None,
             qos: HashMap::new(),
-            frame_budget: None,
-            reassembly_limits: None,
-            adaptive: None,
+            adaptive,
             telemetry: None,
             journals: Vec::new(),
-            journal_batch: None,
-        }
+        })
     }
 
     /// Mints a fresh trace id for a message originating at `proc`. Ids come
@@ -516,7 +643,12 @@ impl EchoSystem {
     /// its name.
     pub fn add_process(&mut self, name: impl Into<String>, version: EchoVersion) -> ProcessId {
         let name = name.into();
-        let mut node = NodeState::new(name.clone(), version);
+        let mut node = NodeState::new(
+            name.clone(),
+            version,
+            self.config.reassembly_capacity,
+            self.config.reassembly_timeout_ns,
+        );
         // Ship the standard control-plane meta-data with every process.
         node.import_metadata(
             &[proto::channel_open_response_v1(), proto::channel_open_response_v2()],
@@ -528,16 +660,13 @@ impl EchoSystem {
         if let Some((decisions, plans)) = &self.shared_caches {
             node.enable_shared_caches(decisions.clone(), plans.clone());
         }
-        if let Some((capacity, timeout_ns)) = self.reassembly_limits {
-            node.configure_reassembly(capacity, timeout_ns);
-        }
         let seq_floor = node.next_seq;
         let net_id = self.net.add_node(name.clone());
         self.nodes.push(node);
         self.net_ids.push(net_id);
         self.paused.push(false);
         self.ingress.push(VecDeque::new());
-        let mut journal = self.journal_batch.map(Journal::new);
+        let mut journal = self.config.journal_batch.map(Journal::new);
         if let Some(j) = journal.as_mut() {
             j.append(self.net.now_ns(), JournalEntry::SeqFloor { next_seq: seq_floor });
         }
@@ -852,7 +981,7 @@ impl EchoSystem {
         epoch: u32,
         msg: Vec<u8>,
     ) -> Result<Vec<WireBytes>, EchoError> {
-        let Some(budget) = self.frame_budget.filter(|&b| msg.len() > b) else {
+        let Some(budget) = self.config.frame_budget.filter(|&b| msg.len() > b) else {
             return Ok(vec![proto::frame_qos(
                 proto::FRAME_EVENT,
                 channel,
@@ -1006,25 +1135,19 @@ impl EchoSystem {
     /// The retry queue's effective bound: the configured capacity, pulled
     /// down by the adaptive watermark while arrivals overrun drains.
     fn retry_capacity_now(&self) -> usize {
-        match &self.adaptive {
-            Some(a) => self.retry_capacity.min(a.retry.capacity()),
-            None => self.retry_capacity,
-        }
+        self.adaptive.as_ref().map_or(self.config.retry_queue_capacity, |a| a.retry.capacity())
     }
 
     /// The ingress buffers' effective bound, under the same rule.
     fn ingress_capacity_now(&self) -> usize {
-        match &self.adaptive {
-            Some(a) => self.ingress_capacity.min(a.ingress.capacity()),
-            None => self.ingress_capacity,
-        }
+        self.adaptive.as_ref().map_or(self.config.ingress_capacity, |a| a.ingress.capacity())
     }
 
     /// Sends a frame, absorbing link-down refusals into the retry queue:
     /// the frame waits out a backoff (capped exponential, jittered by the
     /// system [`RetryPolicy`]) and is re-sent by [`EchoSystem::run`] until
     /// it gets through or the budget is spent. The queue is bounded
-    /// ([`EchoSystem::set_retry_queue_capacity`]): admitting past the cap
+    /// ([`EchoConfig::retry_queue_capacity`]): admitting past the cap
     /// sheds the oldest queued event frame (or the newcomer itself when
     /// only control frames are queued) into the sender's dead-letter queue
     /// with [`DeadReason::Shed`]. Control frames are never shed. Other
@@ -1039,96 +1162,61 @@ impl EchoSystem {
     ) -> Result<(), EchoError> {
         // The clone hands the wire a view of the frame buffer; the bytes
         // themselves are never copied again after `proto::frame`.
-        match self.net.send_traced(self.net_ids[from], self.net_ids[to], bytes.clone(), ctx) {
-            Ok(_) => Ok(()),
-            Err(NetError::LinkDown(_, _)) => {
-                // Feed the arrival window and re-evaluate the watermark
-                // before admission, so overload tightens the bound for
-                // this very frame.
-                let now = self.net.now_ns();
-                if let Some(a) = self.adaptive.as_mut() {
-                    a.retry.on_arrival(now);
-                    a.retry.evaluate(now, &self.recorder, ctx);
+        let now = self.net.now_ns();
+        let (next_attempt_ns, parked) =
+            match self.net.send_traced(self.net_ids[from], self.net_ids[to], bytes.clone(), ctx) {
+                Ok(_) => return Ok(()),
+                Err(NetError::LinkDown(_, _)) => {
+                    (now + self.config.retry_policy.backoff_ns(0), false)
                 }
-                // A full queue sheds its lowest-tier queued event; when
-                // only control frames are queued, the newcomer is the sole
-                // sheddable load. A control newcomer never sheds: it is
-                // admitted beyond the bound.
-                if self.pending.len() >= self.retry_capacity_now()
-                    && !self.shed_pending_victim()
-                    && proto::shed_class(&bytes).is_some()
-                {
-                    self.shed_at(from, &bytes, "retry queue full: event frame shed", ctx);
-                    self.update_queue_depth();
-                    return Ok(());
+                // The *destination* is inside a crash window: burning
+                // capped-backoff attempts into a peer that cannot answer
+                // would waste the retry budget, so the frame parks until the
+                // window's scheduled end — zero attempts consumed — under
+                // the same shed admission as a down link. A send refused
+                // because the *sender* is down still propagates: that is a
+                // caller bug.
+                Err(NetError::NodeDown(down)) if down == self.net_ids[to] => {
+                    let until = self.net.node_down_until(down, now);
+                    (until.unwrap_or_else(|| now + self.config.retry_policy.backoff_ns(0)), true)
                 }
-                self.metrics.retry_enqueued.inc();
-                if let Some(c) = ctx {
-                    self.recorder.instant(
-                        c.trace,
-                        c.parent,
-                        "echo.retry.enqueued",
-                        &[("from", &self.nodes[from].name), ("to", &self.nodes[to].name)],
-                    );
-                }
-                let next_attempt_ns = self.net.now_ns() + self.retry.backoff_ns(0);
-                self.pending.push(PendingFrame {
-                    from,
-                    to,
-                    bytes,
-                    attempts: 0,
-                    next_attempt_ns,
-                    ctx,
-                });
-                self.update_queue_depth();
-                Ok(())
-            }
-            // The *destination* is inside a crash window: burning
-            // capped-backoff attempts into a peer that cannot answer would
-            // waste the retry budget, so the frame parks until the window's
-            // scheduled end — zero attempts consumed — under the same shed
-            // admission as a down link. A send refused because the *sender*
-            // is down still propagates: that is a caller bug.
-            Err(NetError::NodeDown(down)) if down == self.net_ids[to] => {
-                let now = self.net.now_ns();
-                if let Some(a) = self.adaptive.as_mut() {
-                    a.retry.on_arrival(now);
-                    a.retry.evaluate(now, &self.recorder, ctx);
-                }
-                if self.pending.len() >= self.retry_capacity_now()
-                    && !self.shed_pending_victim()
-                    && proto::shed_class(&bytes).is_some()
-                {
-                    self.shed_at(from, &bytes, "retry queue full: event frame shed", ctx);
-                    self.update_queue_depth();
-                    return Ok(());
-                }
-                self.metrics.retry_parked.inc();
-                if let Some(c) = ctx {
-                    self.recorder.instant(
-                        c.trace,
-                        c.parent,
-                        "echo.retry.parked",
-                        &[("from", &self.nodes[from].name), ("to", &self.nodes[to].name)],
-                    );
-                }
-                let next_attempt_ns = self
-                    .net
-                    .node_down_until(down, now)
-                    .unwrap_or_else(|| now + self.retry.backoff_ns(0));
-                self.pending.push(PendingFrame {
-                    from,
-                    to,
-                    bytes,
-                    attempts: 0,
-                    next_attempt_ns,
-                    ctx,
-                });
-                self.update_queue_depth();
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
+                Err(e) => return Err(e.into()),
+            };
+        // Feed the arrival window and re-evaluate the watermark before
+        // admission, so overload tightens the bound for this very frame.
+        if let Some(a) = self.adaptive.as_mut() {
+            a.retry.on_arrival(now);
+            a.retry.evaluate(now, &self.recorder, ctx);
         }
+        // A full queue sheds its lowest-tier queued event; when only
+        // control frames are queued, the newcomer is the sole sheddable
+        // load. A control newcomer never sheds: it is admitted beyond the
+        // bound.
+        if self.pending.len() >= self.retry_capacity_now()
+            && !self.shed_pending_victim()
+            && proto::shed_class(&bytes).is_some()
+        {
+            self.shed_at(from, &bytes, "retry queue full: event frame shed", ctx);
+            self.update_queue_depth();
+            return Ok(());
+        }
+        let (counter, instant) = if parked {
+            (&self.metrics.retry_parked, "echo.retry.parked")
+        } else {
+            (&self.metrics.retry_enqueued, "echo.retry.enqueued")
+        };
+        counter.inc();
+        if let Some(c) = ctx {
+            self.recorder.instant(
+                c.trace,
+                c.parent,
+                instant,
+                &[("from", &self.nodes[from].name), ("to", &self.nodes[to].name)],
+            );
+        }
+        self.pending.push(PendingFrame { from, to, bytes, attempts: 0, next_attempt_ns, ctx });
+        self.update_queue_depth();
+        Ok(())
     }
 
     /// Re-attempts every due pending frame once. Returns the earliest
@@ -1161,17 +1249,17 @@ impl EchoSystem {
                 Ok(_) => self.metrics.retry_delivered.inc(),
                 Err(NetError::LinkDown(_, _)) => {
                     p.attempts += 1;
-                    if p.attempts > self.retry.budget {
+                    if p.attempts > self.config.retry_policy.budget {
                         // Budget spent: quarantine at the sender.
                         self.metrics.retry_giveup.inc();
                         self.metrics.quarantined(DeadReason::RetryExhausted);
                         self.nodes[p.from].quarantine_send(
                             &p.bytes,
-                            &format!("gave up after {} retries", self.retry.budget),
+                            &format!("gave up after {} retries", self.config.retry_policy.budget),
                             p.ctx,
                         );
                     } else {
-                        p.next_attempt_ns = now + self.retry.backoff_ns(p.attempts);
+                        p.next_attempt_ns = now + self.config.retry_policy.backoff_ns(p.attempts);
                         still_pending.push(p);
                     }
                 }
@@ -1183,7 +1271,7 @@ impl EchoSystem {
                     p.next_attempt_ns = self
                         .net
                         .node_down_until(down, now)
-                        .unwrap_or_else(|| now + self.retry.backoff_ns(p.attempts));
+                        .unwrap_or_else(|| now + self.config.retry_policy.backoff_ns(p.attempts));
                     still_pending.push(p);
                 }
                 // The peer disappeared from the topology — config bug;
@@ -1615,42 +1703,14 @@ impl EchoSystem {
     pub fn run(&mut self) -> usize {
         let mut processed = 0;
         loop {
-            self.process_crash_transitions(self.net.now_ns());
-            self.sweep_reassembly();
-            self.pump_telemetry();
-            processed += self.drain_ingress();
-            self.pump_pending();
-            // Deliveries never cross a pending crash/restart boundary: the
-            // step is bounded at the next one, and an empty bounded step
-            // advances the clock straight to the boundary (or the next
-            // retry attempt, whichever is sooner), so every transition
-            // fires at its exact instant under every driver.
-            let boundary = self.net.next_crash_transition();
-            let stepped = match boundary {
-                Some(t) => self.net.step_before(t),
-                None => self.net.step(),
-            };
-            let Some(d) = stepped else {
-                // Nothing deliverable before the boundary (or an idle
-                // wire). Jump virtual time to whatever comes first: the
-                // boundary or the next retry attempt.
-                let target = match (boundary, self.pump_pending()) {
-                    (Some(t), Some(r)) => Some(t.min(r)),
-                    (Some(t), None) => Some(t),
-                    (None, Some(r)) => Some(r),
-                    (None, None) => None,
-                };
-                match target {
-                    Some(at) => {
-                        let now = self.net.now_ns();
-                        if at > now {
-                            self.net.advance_ns(at - now);
-                        }
-                        continue;
-                    }
-                    None if self.net.is_idle() => break,
-                    None => continue,
-                }
+            let turn = self.turn(&mut processed, |sys, boundary| match boundary {
+                Some(t) => sys.net.step_before(t),
+                None => sys.net.step(),
+            });
+            let d = match turn {
+                Turn::Work(d) => d,
+                Turn::Again => continue,
+                Turn::Quiescent => break,
             };
             // Drop the inbox copy; dispatch directly.
             let _ = self.net.recv(d.to);
@@ -1671,20 +1731,53 @@ impl EchoSystem {
         processed
     }
 
+    /// One turn of either run loop. The shared prologue applies due
+    /// crash/restart transitions, sweeps reassembly, pumps telemetry,
+    /// drains resumed ingress buffers (adding them to `processed`), and
+    /// pumps the retry queue. Then `pull` takes the loop's next unit of
+    /// work from the wire, bounded at the next crash/restart boundary so
+    /// no delivery ever crosses one. When there is none, virtual time
+    /// jumps to whatever comes first — the boundary or the next retry
+    /// attempt — so every transition fires at its exact instant under
+    /// every driver; with neither pending and an idle wire the loop is
+    /// done.
+    fn turn<T>(
+        &mut self,
+        processed: &mut usize,
+        pull: impl FnOnce(&mut EchoSystem, Option<u64>) -> Option<T>,
+    ) -> Turn<T> {
+        self.process_crash_transitions(self.net.now_ns());
+        self.sweep_reassembly();
+        self.pump_telemetry();
+        *processed += self.drain_ingress();
+        self.pump_pending();
+        let boundary = self.net.next_crash_transition();
+        if let Some(work) = pull(self, boundary) {
+            return Turn::Work(work);
+        }
+        let target = match (boundary, self.pump_pending()) {
+            (Some(t), Some(r)) => Some(t.min(r)),
+            (t, r) => t.or(r),
+        };
+        match target {
+            Some(at) => {
+                let now = self.net.now_ns();
+                if at > now {
+                    self.net.advance_ns(at - now);
+                }
+                Turn::Again
+            }
+            None if self.net.is_idle() => Turn::Quiescent,
+            None => Turn::Again,
+        }
+    }
+
     /// Runs the system under the given [`Driver`] — the pluggable
     /// counterpart to [`EchoSystem::run`]. `VirtualTimeDriver` reproduces
     /// `run()` exactly; `WallClockDriver` executes rounds of deliveries on
     /// real threads.
     pub fn run_with(&mut self, driver: &mut dyn Driver) -> usize {
         driver.drive(self)
-    }
-
-    /// Runs to quiescence on the multi-core runtime with the configured
-    /// shard count ([`EchoSystem::set_shards`]) and the default mailbox
-    /// bound. Equivalent to `run()` when one shard is configured, except
-    /// that frames are still batched per round.
-    pub fn run_wall_clock(&mut self) -> usize {
-        self.run_sharded(self.shards, crate::driver::DEFAULT_MAILBOX_CAPACITY)
     }
 
     /// The multi-core runtime: repeatedly drains everything the network has
@@ -1727,45 +1820,22 @@ impl EchoSystem {
             self.net_ids.iter().enumerate().map(|(i, &n)| (n, i)).collect();
         let mut processed = 0;
         loop {
-            self.process_crash_transitions(self.net.now_ns());
-            self.sweep_reassembly();
-            self.pump_telemetry();
-            processed += self.drain_ingress();
-            self.pump_pending();
-            // As in [`EchoSystem::run`], no fork/join round ever straddles
-            // a crash/restart boundary: rounds are bounded at the next one
-            // and the clock jumps straight to it when nothing is
-            // deliverable first.
-            let boundary = self.net.next_crash_transition();
-            let ready = match boundary {
-                Some(t) => self.net.next_delivery_at().is_some_and(|d| d < t),
-                None => !self.net.is_idle(),
-            };
-            if !ready {
-                let target = match (boundary, self.pump_pending()) {
-                    (Some(t), Some(r)) => Some(t.min(r)),
-                    (Some(t), None) => Some(t),
-                    (None, Some(r)) => Some(r),
-                    (None, None) => None,
-                };
-                match target {
-                    Some(at) => {
-                        let now = self.net.now_ns();
-                        if at > now {
-                            self.net.advance_ns(at - now);
-                        }
-                        continue;
-                    }
-                    None if self.net.is_idle() => break,
-                    None => continue,
-                }
-            }
             // One round: everything currently in flight (up to the next
             // crash boundary), bucketed by the destination's shard in
             // global delivery order.
-            let buckets = match boundary {
-                Some(t) => self.net.drain_ready_sharded_before(shards, t, |to| assign[idx_of[&to]]),
-                None => self.net.drain_ready_sharded(shards, |to| assign[idx_of[&to]]),
+            let turn = self.turn(&mut processed, |sys, boundary| match boundary {
+                Some(t) if sys.net.next_delivery_at().is_some_and(|d| d < t) => {
+                    Some(sys.net.drain_ready_sharded_before(shards, t, |to| assign[idx_of[&to]]))
+                }
+                None if !sys.net.is_idle() => {
+                    Some(sys.net.drain_ready_sharded(shards, |to| assign[idx_of[&to]]))
+                }
+                _ => None,
+            });
+            let buckets = match turn {
+                Turn::Work(buckets) => buckets,
+                Turn::Again => continue,
+                Turn::Quiescent => break,
             };
             let mut mailboxes: Vec<Vec<(usize, usize, WireBytes)>> =
                 (0..shards).map(|_| Vec::new()).collect();
@@ -1981,11 +2051,6 @@ impl EchoSystem {
         self.nodes[proc.0].version
     }
 
-    /// Replaces the retry policy for link-down re-sends.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
     /// Turns publish-path tracing on or off (on by default). With tracing
     /// off, published frames carry [`proto::NO_TRACE`] and mint no spans —
     /// the mode for high-rate data-plane traffic, where per-event trace
@@ -1993,27 +2058,6 @@ impl EchoSystem {
     /// operations keep tracing regardless; they are rare and diagnostic.
     pub fn set_tracing(&mut self, tracing: bool) {
         self.tracing = tracing;
-    }
-
-    /// Sets the worker shard count used by [`EchoSystem::run_wall_clock`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn set_shards(&mut self, shards: usize) {
-        assert!(shards > 0, "at least one shard required");
-        self.shards = shards;
-    }
-
-    /// The configured worker shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard (under the configured count) that owns a process — a pure
-    /// hash of its name, stable across runs ([`crate::shard_of_name`]).
-    pub fn shard_of(&self, proc: ProcessId) -> usize {
-        shard_of_name(&self.nodes[proc.0].name, self.shards)
     }
 
     /// Opts the whole system into shared morph caches: every process
@@ -2064,57 +2108,9 @@ impl EchoSystem {
         Ok(())
     }
 
-    /// Caps the link-down retry queue. Admissions past the cap shed the
-    /// oldest queued event frame (control frames are never shed) into the
-    /// sender's dead-letter queue with [`DeadReason::Shed`].
-    pub fn set_retry_queue_capacity(&mut self, capacity: usize) {
-        self.retry_capacity = capacity;
-    }
-
-    /// Turns the fixed shed watermarks into **load-adaptive** ones: the
-    /// retry queue, the ingress buffers, and the sharded runtime's
-    /// mailboxes each compare their windowed arrival rate against their
-    /// drain rate on the virtual clock, halving the effective capacity
-    /// (down to a floor of base/8) while arrivals overrun drains and
-    /// doubling it back once drains recover — with hysteresis, so the
-    /// bound does not flap. The configured capacities become *ceilings*;
-    /// shedding itself stays tier-ordered ([`proto::shed_class`]).
-    ///
-    /// Every decision is counted (`echo.adaptive.<queue>.tightened` /
-    /// `.relaxed`), the live bound is exported
-    /// (`echo.adaptive.<queue>.capacity`), and decisions triggered by a
-    /// traced frame drop `echo.adaptive.tighten`/`.relax` instants into
-    /// its trace. Adaptation inputs are pure functions of virtual-clock
-    /// window state, so identical runs adapt identically.
-    ///
-    /// Call *after* any `set_retry_queue_capacity` /
-    /// `set_ingress_capacity` overrides: the watermarks take the
-    /// capacities configured at enable time as their bases.
-    pub fn enable_adaptive_shedding(&mut self) {
-        self.adaptive = Some(AdaptiveShedding::new(
-            &self.metrics.registry,
-            self.retry_capacity,
-            self.ingress_capacity,
-            crate::driver::DEFAULT_MAILBOX_CAPACITY,
-        ));
-        // A telemetry publisher enabled earlier picks up the decision
-        // counters it could not sample yet, from zero; already-sampled
-        // counters keep their baselines.
-        if self.telemetry.is_none() {
-            return;
-        }
-        let fresh = self.telemetry_sampled();
-        let Some(t) = self.telemetry.as_mut() else { return };
-        for entry in fresh {
-            if !t.sampled.iter().any(|(n, _, _)| *n == entry.0) {
-                t.sampled.push(entry);
-            }
-        }
-        t.sampled.sort_unstable_by_key(|&(n, _, _)| n);
-    }
-
     /// The adaptive watermarks' current effective capacities as
-    /// `(retry, ingress, mailbox)`, if adaptive shedding is enabled.
+    /// `(retry, ingress, mailbox)`, when [`EchoConfig::adaptive_shedding`]
+    /// is set.
     pub fn adaptive_capacities(&self) -> Option<(usize, usize, usize)> {
         self.adaptive
             .as_ref()
@@ -2168,9 +2164,9 @@ impl EchoSystem {
     }
 
     /// The counter handles a telemetry record samples, baselined at their
-    /// current values. Adaptive decision counters join the list only once
-    /// [`EchoSystem::enable_adaptive_shedding`] created them, keeping the
-    /// registry catalogue of non-adaptive systems unchanged.
+    /// current values. Adaptive decision counters join the list only under
+    /// [`EchoConfig::adaptive_shedding`], keeping the registry catalogue of
+    /// non-adaptive systems unchanged.
     fn telemetry_sampled(&self) -> Vec<(&'static str, Arc<Counter>, u64)> {
         let mut names: Vec<&'static str> =
             vec!["echo.events.delivered", "echo.events.published", "echo.queue.shed"];
@@ -2236,12 +2232,6 @@ impl EchoSystem {
         let _ = self.publish(ProcessId(proc), channel, &fmt, &value);
     }
 
-    /// Caps each paused process's ingress buffer, with the same shed
-    /// policy as the retry queue (victims quarantine at the *receiver*).
-    pub fn set_ingress_capacity(&mut self, capacity: usize) {
-        self.ingress_capacity = capacity;
-    }
-
     /// Sets a channel's delivery tier. Channels default to
     /// [`QosTier::Reliable`]; the tier travels in every frame header, so
     /// receivers enforce it straight off the wire with no side-channel
@@ -2257,27 +2247,6 @@ impl EchoSystem {
         self.qos.get(&channel).copied().unwrap_or(QosTier::Reliable)
     }
 
-    /// Sets the frame budget: encoded event payloads larger than `budget`
-    /// bytes split into fragments of at most that size, reassembled at
-    /// each receiver. `None` (the default) never fragments. Control frames
-    /// are never fragmented. To traverse an MTU-limited link
-    /// ([`EchoSystem::set_link_mtu`]) the budget must be small enough that
-    /// budget + frame header ≤ MTU.
-    pub fn set_frame_budget(&mut self, budget: Option<usize>) {
-        self.frame_budget = budget.map(|b| b.max(1));
-    }
-
-    /// Re-bounds every process's per-channel reassembly buffers: at most
-    /// `capacity` in-progress fragment sets per channel (oldest incomplete
-    /// evicted past it), each expiring `timeout_ns` after its first
-    /// fragment arrives. Applies to existing and future processes.
-    pub fn set_reassembly_limits(&mut self, capacity: usize, timeout_ns: u64) {
-        self.reassembly_limits = Some((capacity, timeout_ns));
-        for node in &mut self.nodes {
-            node.configure_reassembly(capacity, timeout_ns);
-        }
-    }
-
     /// In-progress fragment sets currently buffered at a process, across
     /// all its channels.
     pub fn reassembly_depth(&self, proc: ProcessId) -> usize {
@@ -2287,7 +2256,7 @@ impl EchoSystem {
     /// Caps the payload size the (bidirectional) link between two
     /// processes accepts; larger sends are refused with
     /// [`simnet::NetError::Oversized`]. `0` lifts the cap. Pair with
-    /// [`EchoSystem::set_frame_budget`] so fragmented events fit.
+    /// [`EchoConfig::frame_budget`] so fragmented events fit.
     pub fn set_link_mtu(&mut self, a: ProcessId, b: ProcessId, mtu: usize) {
         self.net.set_link_mtu(self.net_ids[a.0], self.net_ids[b.0], mtu);
     }
@@ -2310,21 +2279,12 @@ impl EchoSystem {
     /// buffer is at least 3/4 full. Publishers can poll this to slow down
     /// before shedding starts.
     pub fn backpressure(&self, proc: ProcessId) -> bool {
-        self.ingress[proc.0].len() * 4 >= self.ingress_capacity * 3
+        self.ingress[proc.0].len() * 4 >= self.config.ingress_capacity * 3
     }
 
     /// Frames currently buffered for a (paused or resuming) process.
     pub fn ingress_depth(&self, proc: ProcessId) -> usize {
         self.ingress[proc.0].len()
-    }
-
-    /// Enables per-link bandwidth/RTT monitors on the underlying network:
-    /// every directed link gains rolling-window gauges
-    /// (`simnet.link.<from>-><to>.bandwidth_bps` / `.frames_per_sec` /
-    /// `.loss_per_mille` / `.rtt_ewma_ns`) in the system registry, sampled
-    /// on the virtual clock — see [`simnet::Network::enable_link_monitors`].
-    pub fn enable_link_monitors(&mut self, slots: usize, slot_ns: u64) {
-        self.net.enable_link_monitors(slots, slot_ns);
     }
 
     /// The current windowed bandwidth/loss/RTT reading for the directed
@@ -2388,24 +2348,6 @@ impl EchoSystem {
         self.net.set_crash_windows(self.net_ids[proc.0], windows);
     }
 
-    /// Opts every process — existing and future — into a durable delivery
-    /// journal with the given fsync-batch boundary (floor 1; see
-    /// [`crate::Journal`]). Journaling is what upgrades the Reliable
-    /// tier's exactly-once from "while the process lives" to "across
-    /// crash-restarts": without it a restarted process neither redelivers
-    /// its unacked frames nor remembers what it already delivered.
-    pub fn enable_journaling(&mut self, batch: usize) {
-        self.journal_batch = Some(batch);
-        let now = self.net.now_ns();
-        for (i, slot) in self.journals.iter_mut().enumerate() {
-            if slot.is_none() {
-                let mut j = Journal::new(batch);
-                j.append(now, JournalEntry::SeqFloor { next_seq: self.nodes[i].next_seq });
-                *slot = Some(j);
-            }
-        }
-    }
-
     /// A process's journal self-accounting, when journaling is enabled.
     pub fn journal_stats(&self, proc: ProcessId) -> Option<JournalStats> {
         self.journals[proc.0].as_ref().map(Journal::stats)
@@ -2437,7 +2379,16 @@ mod tests {
         creator_v: EchoVersion,
         sub_v: EchoVersion,
     ) -> (EchoSystem, ProcessId, ProcessId, ProcessId) {
-        let mut sys = EchoSystem::new();
+        three_with(EchoConfig::default(), creator_v, sub_v)
+    }
+
+    /// [`three`] on a system built from `config`.
+    fn three_with(
+        config: EchoConfig,
+        creator_v: EchoVersion,
+        sub_v: EchoVersion,
+    ) -> (EchoSystem, ProcessId, ProcessId, ProcessId) {
+        let mut sys = EchoSystem::with_config(config).unwrap();
         let c = sys.add_process("creator", creator_v);
         let s1 = sys.add_process("pub-1", EchoVersion::V2);
         let s2 = sys.add_process("sub-2", sub_v);
@@ -2784,13 +2735,13 @@ mod tests {
 
     #[test]
     fn full_retry_queue_sheds_oldest_events_but_never_control() {
-        let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
+        let cfg = EchoConfig { retry_queue_capacity: 2, ..EchoConfig::default() };
+        let (mut sys, c, s1, s2) = three_with(cfg, EchoVersion::V2, EchoVersion::V2);
         let ch = sys.create_channel(c);
         let fmt = tick_format();
         sys.subscribe(s1, ch, Role::source(), None).unwrap();
         sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
         sys.run();
-        sys.set_retry_queue_capacity(2);
         sys.set_link_up(s1, s2, false);
         for n in 0..4 {
             sys.publish(s1, ch, &fmt, &tick(n)).unwrap();
@@ -2823,13 +2774,13 @@ mod tests {
 
     #[test]
     fn paused_process_buffers_bounded_ingress_with_backpressure() {
-        let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
+        let cfg = EchoConfig { ingress_capacity: 4, ..EchoConfig::default() };
+        let (mut sys, c, s1, s2) = three_with(cfg, EchoVersion::V2, EchoVersion::V2);
         let ch = sys.create_channel(c);
         let fmt = tick_format();
         sys.subscribe(s1, ch, Role::source(), None).unwrap();
         sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
         sys.run();
-        sys.set_ingress_capacity(4);
         sys.pause_process(s2);
         assert!(!sys.backpressure(s2));
         for n in 0..6 {
@@ -2923,9 +2874,8 @@ mod tests {
     #[test]
     fn sharded_run_accounts_per_shard_frames_and_rounds() {
         let (mut sys, c, ch, new_fmt, _) = fanout_fixture(8);
-        sys.set_shards(2);
         sys.publish(c, ch, &new_fmt, &Value::Record(vec![Value::Int(3), Value::Int(1)])).unwrap();
-        let processed = sys.run_wall_clock();
+        let processed = sys.run_with(&mut WallClockDriver::new(2));
         assert_eq!(processed, 8);
         let snap = sys.registry().snapshot();
         assert_eq!(snap.counter("echo.events.delivered"), Some(8));
@@ -3057,14 +3007,14 @@ mod tests {
 
     #[test]
     fn fragmented_publish_reassembles_at_each_sink() {
-        let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
+        let cfg = EchoConfig { frame_budget: Some(64), ..EchoConfig::default() };
+        let (mut sys, c, s1, s2) = three_with(cfg, EchoVersion::V2, EchoVersion::V2);
         let ch = sys.create_channel(c);
         let fmt = blob_format();
         sys.subscribe(s1, ch, Role::source(), None).unwrap();
         sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
         sys.subscribe(c, ch, Role::sink(), Some(&fmt)).unwrap();
         sys.run();
-        sys.set_frame_budget(Some(64));
         let event = blob(1, 500);
         assert_eq!(sys.publish(s1, ch, &fmt, &event).unwrap(), 2);
         sys.run();
@@ -3124,7 +3074,8 @@ mod tests {
 
     #[test]
     fn ingress_shed_takes_unordered_telemetry_before_reliable_events() {
-        let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
+        let cfg = EchoConfig { ingress_capacity: 3, ..EchoConfig::default() };
+        let (mut sys, c, s1, s2) = three_with(cfg, EchoVersion::V2, EchoVersion::V2);
         let reliable_ch = sys.create_channel(c);
         let telemetry_ch = sys.create_channel(c);
         let fmt = tick_format();
@@ -3134,7 +3085,6 @@ mod tests {
         }
         sys.run();
         sys.set_channel_qos(telemetry_ch, QosTier::UnorderedUnreliable);
-        sys.set_ingress_capacity(3);
         sys.pause_process(s2);
         // Arrival order: telemetry first, then reliable — but the *victims*
         // are chosen by tier, not age alone.
@@ -3160,14 +3110,18 @@ mod tests {
 
     #[test]
     fn partial_fragment_sets_time_out_into_the_dlq() {
-        let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
+        let cfg = EchoConfig {
+            frame_budget: Some(64),
+            reassembly_capacity: 8,
+            reassembly_timeout_ns: 200_000_000,
+            ..EchoConfig::default()
+        };
+        let (mut sys, c, s1, s2) = three_with(cfg, EchoVersion::V2, EchoVersion::V2);
         let ch = sys.create_channel(c);
         let fmt = blob_format();
         sys.subscribe(s1, ch, Role::source(), None).unwrap();
         sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
         sys.run();
-        sys.set_frame_budget(Some(64));
-        sys.set_reassembly_limits(8, 200_000_000);
         // Half the frames vanish in flight: fragmented messages lose limbs.
         sys.set_fault_plan(s1, s2, FaultPlan::new(7).drop_per_mille(500));
         let published = 6u64;
@@ -3203,42 +3157,48 @@ mod tests {
 
     #[test]
     fn frame_budget_carries_large_events_through_a_link_mtu() {
-        let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
-        let ch = sys.create_channel(c);
-        let fmt = blob_format();
-        sys.subscribe(s1, ch, Role::source(), None).unwrap();
-        sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
-        sys.run();
-        sys.set_link_mtu(s1, s2, 128);
+        let publish = |frame_budget: Option<usize>| {
+            let cfg = EchoConfig { frame_budget, ..EchoConfig::default() };
+            let (mut sys, c, s1, s2) = three_with(cfg, EchoVersion::V2, EchoVersion::V2);
+            let ch = sys.create_channel(c);
+            let fmt = blob_format();
+            sys.subscribe(s1, ch, Role::source(), None).unwrap();
+            sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
+            sys.run();
+            sys.set_link_mtu(s1, s2, 128);
+            let sent = sys.publish(s1, ch, &fmt, &blob(1, 500));
+            sys.run();
+            sent.map(|_| sys.take_events(s2) == vec![(ch, blob(1, 500))])
+        };
         // Unfragmented, the 500-byte event is refused by the wire outright.
-        let err = sys.publish(s1, ch, &fmt, &blob(1, 500)).unwrap_err();
+        let err = publish(None).unwrap_err();
         assert!(matches!(err, EchoError::Net(NetError::Oversized { .. })), "got {err}");
         // Fragmented under budget + header ≤ MTU, it goes through.
-        sys.set_frame_budget(Some(64));
-        sys.publish(s1, ch, &fmt, &blob(1, 500)).unwrap();
-        sys.run();
-        assert_eq!(sys.take_events(s2), vec![(ch, blob(1, 500))]);
+        assert_eq!(publish(Some(64)), Ok(true));
     }
 
     #[test]
     fn adaptive_watermark_tightens_retry_shedding_then_relaxes() {
-        let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
+        // A 10 ms first backoff outlasts the 8 ms adaptation window, so
+        // the post-heal drains land in an arrival-free window and the
+        // relax path is observable.
+        let cfg = EchoConfig {
+            retry_queue_capacity: 16,
+            retry_policy: RetryPolicy {
+                budget: 8,
+                base_backoff_ns: 10_000_000,
+                max_backoff_ns: 50_000_000,
+                jitter_seed: 1,
+            },
+            adaptive_shedding: true,
+            ..EchoConfig::default()
+        };
+        let (mut sys, c, s1, s2) = three_with(cfg, EchoVersion::V2, EchoVersion::V2);
         let ch = sys.create_channel(c);
         let fmt = tick_format();
         sys.subscribe(s1, ch, Role::source(), None).unwrap();
         sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
         sys.run();
-        sys.set_retry_queue_capacity(16);
-        // A 10 ms first backoff outlasts the 8 ms adaptation window, so
-        // the post-heal drains land in an arrival-free window and the
-        // relax path is observable.
-        sys.set_retry_policy(RetryPolicy {
-            budget: 8,
-            base_backoff_ns: 10_000_000,
-            max_backoff_ns: 50_000_000,
-            jitter_seed: 1,
-        });
-        sys.enable_adaptive_shedding();
         assert_eq!(sys.adaptive_capacities(), Some((16, 64, DEFAULT_MAILBOX_CAPACITY)));
 
         // Partition, then a burst far past the drain rate (zero: nothing

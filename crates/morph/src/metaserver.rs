@@ -235,6 +235,11 @@ impl MetaClient {
         }
         let mut pos = 0;
         let n = take_u32(rest, &mut pos)? as usize;
+        // Each transformation is at least a 4-byte chunk length: a count
+        // the remaining bytes cannot hold is refused before reserving.
+        if n > (rest.len() - pos) / 4 {
+            return Err(bad("transformation count exceeds the response"));
+        }
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(Transformation::deserialize(take_chunk(rest, &mut pos)?)?);

@@ -63,7 +63,7 @@ pub use encode::{
 };
 pub use error::{PbioError, Result};
 pub use inspect::describe_message;
-pub use meta::{deserialize_format, format_id, serialize_format, FormatId};
+pub use meta::{deserialize_format, format_id, serialize_format, FormatId, MAX_META_DEPTH};
 pub use observe::{CodecMetrics, PlanCache, PlanStore};
 pub use plan::ConversionPlan;
 pub use registry::FormatRegistry;

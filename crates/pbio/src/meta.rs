@@ -136,12 +136,35 @@ pub fn serialize_format(format: &RecordFormat) -> Vec<u8> {
 
 // -- deserialization ----------------------------------------------------------
 
+/// Deepest record/array nesting [`deserialize_format`] accepts. Parsing
+/// recurses once per level, so without a bound a few megabytes of nested
+/// array tags would exhaust the stack.
+pub const MAX_META_DEPTH: usize = 64;
+
+/// Fewest canonical bytes one field can take: a name length and a tag.
+const MIN_FIELD_BYTES: usize = 5;
+
+/// Fewest canonical bytes one enum variant can take: a name length and a
+/// discriminant.
+const MIN_VARIANT_BYTES: usize = 8;
+
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
+    /// Reads an element count, rejecting one the remaining bytes cannot
+    /// hold at `min_bytes` per element — so a hostile count fails here
+    /// instead of reserving memory for elements that are not there.
+    fn count(&mut self, min_bytes: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n > (self.buf.len() - self.pos) / min_bytes {
+            return Err(PbioError::UnexpectedEof);
+        }
+        Ok(n)
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.pos + n > self.buf.len() {
             return Err(PbioError::UnexpectedEof);
@@ -175,7 +198,9 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn get_type(c: &mut Cursor<'_>) -> Result<FieldType> {
+/// Reads one field type with `depth` record/array levels already open
+/// around it (the top-level record is level 1).
+fn get_type(c: &mut Cursor<'_>, depth: usize) -> Result<FieldType> {
     let tag = c.u8()?;
     Ok(match tag {
         TAG_INT => FieldType::Basic(BasicType::Int(Width::from_bytes(c.u8()? as usize)?)),
@@ -184,7 +209,7 @@ fn get_type(c: &mut Cursor<'_>) -> Result<FieldType> {
         TAG_CHAR => FieldType::Basic(BasicType::Char),
         TAG_ENUM => {
             let name = c.string()?;
-            let n = c.u32()? as usize;
+            let n = c.count(MIN_VARIANT_BYTES)?;
             let mut variants = Vec::with_capacity(n);
             for _ in 0..n {
                 let vname = c.string()?;
@@ -194,28 +219,36 @@ fn get_type(c: &mut Cursor<'_>) -> Result<FieldType> {
             FieldType::Basic(BasicType::Enum { name, variants })
         }
         TAG_STRING => FieldType::Basic(BasicType::String),
-        TAG_RECORD => FieldType::Record(Arc::new(get_record(c)?)),
+        TAG_RECORD => FieldType::Record(Arc::new(get_record(c, depth + 1)?)),
+        TAG_ARRAY_FIXED | TAG_ARRAY_VAR if depth >= MAX_META_DEPTH => return Err(too_deep()),
         TAG_ARRAY_FIXED => {
             let n = c.u64()? as usize;
-            let elem = get_type(c)?;
+            let elem = get_type(c, depth + 1)?;
             FieldType::Array { elem: Box::new(elem), len: ArrayLen::Fixed(n) }
         }
         TAG_ARRAY_VAR => {
             let f = c.string()?;
-            let elem = get_type(c)?;
+            let elem = get_type(c, depth + 1)?;
             FieldType::Array { elem: Box::new(elem), len: ArrayLen::LengthField(f) }
         }
         t => return Err(PbioError::BadData(format!("unknown type tag {t} in format meta-data"))),
     })
 }
 
-fn get_record(c: &mut Cursor<'_>) -> Result<RecordFormat> {
+fn too_deep() -> PbioError {
+    PbioError::BadData(format!("format meta-data nests deeper than {MAX_META_DEPTH} levels"))
+}
+
+fn get_record(c: &mut Cursor<'_>, depth: usize) -> Result<RecordFormat> {
+    if depth > MAX_META_DEPTH {
+        return Err(too_deep());
+    }
     let name = c.string()?;
-    let n = c.u32()? as usize;
+    let n = c.count(MIN_FIELD_BYTES)?;
     let mut fields = Vec::with_capacity(n);
     for _ in 0..n {
         let fname = c.string()?;
-        let ty = get_type(c)?;
+        let ty = get_type(c, depth)?;
         fields.push(Field::new(fname, ty));
     }
     RecordFormat::new(name, fields)
@@ -229,11 +262,12 @@ fn get_record(c: &mut Cursor<'_>) -> Result<RecordFormat> {
 /// # Errors
 ///
 /// Returns [`PbioError::BadData`] / [`PbioError::UnexpectedEof`] for
-/// malformed input and [`PbioError::BadFormat`] if the encoded description
-/// violates format invariants.
+/// malformed input (including nesting deeper than [`MAX_META_DEPTH`]) and
+/// [`PbioError::BadFormat`] if the encoded description violates format
+/// invariants.
 pub fn deserialize_format(bytes: &[u8]) -> Result<RecordFormat> {
     let mut c = Cursor { buf: bytes, pos: 0 };
-    let r = get_record(&mut c)?;
+    let r = get_record(&mut c, 1)?;
     if c.pos != bytes.len() {
         return Err(PbioError::BadData("trailing bytes after format meta-data".into()));
     }

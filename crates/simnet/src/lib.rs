@@ -473,7 +473,7 @@ pub struct Network {
     /// nodes are added after monitors were enabled.
     monitor_stride: usize,
     /// `(slots, slot_ns)` monitor window, once enabled; links connected
-    /// later pick it up lazily on first send.
+    /// later get their monitors in [`Network::connect`].
     monitor_cfg: Option<(usize, u64)>,
 }
 
@@ -504,10 +504,15 @@ impl Network {
         self.names.len()
     }
 
-    /// Connects two nodes bidirectionally with the same parameters.
+    /// Connects two nodes bidirectionally with the same parameters. With
+    /// link monitors enabled ([`Network::enable_link_monitors`]) both
+    /// directions get their monitor here, so the monitor catalogue does not
+    /// depend on whether links were connected before or after enabling.
     pub fn connect(&mut self, a: NodeId, b: NodeId, params: LinkParams) {
         self.links.insert((a, b), LinkState { params, ..LinkState::default() });
         self.links.insert((b, a), LinkState { params, ..LinkState::default() });
+        self.monitor_entry(a, b);
+        self.monitor_entry(b, a);
     }
 
     /// Current virtual time in nanoseconds.
@@ -545,10 +550,11 @@ impl Network {
     }
 
     /// Enables per-link bandwidth/RTT monitors over a rolling window of
-    /// `slots × slot_ns` virtual nanoseconds. Every directed link gains
-    /// windowed gauges (`simnet.link.<from>-><to>.bandwidth_bps`,
-    /// `.frames_per_sec`, `.loss_per_mille`, `.rtt_ewma_ns`) and an RTT
-    /// histogram (`.rtt_ns`) in the attached registry, refreshed on each
+    /// `slots × slot_ns` virtual nanoseconds. Every directed link, existing
+    /// or connected later, gains windowed gauges
+    /// (`simnet.link.<from>-><to>.bandwidth_bps`, `.frames_per_sec`,
+    /// `.loss_per_mille`, `.rtt_ewma_ns`) and an RTT histogram
+    /// (`.rtt_ns`) in the attached registry, refreshed on each
     /// send/delivery; RTT samples piggyback on the traffic already
     /// flowing (each delivery contributes `2 × one-way latency`, so no
     /// probe frames are injected). Readable programmatically via
@@ -563,8 +569,8 @@ impl Network {
         }
     }
 
-    /// The monitor for a directed link, created lazily once monitors are
-    /// enabled. `None` while monitors are disabled.
+    /// The monitor for a directed link, created on first call once
+    /// monitors are enabled. `None` while monitors are disabled.
     fn monitor_entry(&mut self, from: NodeId, to: NodeId) -> Option<&mut LinkMonitor> {
         let (slots, slot_ns) = self.monitor_cfg?;
         let n = self.names.len();
@@ -1009,7 +1015,7 @@ impl Network {
                 span,
             }));
         }
-        if let Some(mon) = self.monitor_entry(from, to) {
+        if let Some(mon) = self.monitor_mut(from, to) {
             mon.on_send(now, payload_len * entered, entered, delta.dropped);
         }
         Ok(deliver_at)
@@ -1297,6 +1303,33 @@ mod tests {
         // A full idle window later the rates decay to nothing.
         net.advance_ns(20_000_000);
         assert_eq!(net.link_bandwidth(a, b).unwrap().bytes_per_sec, 0);
+    }
+
+    #[test]
+    fn link_monitor_catalogue_ignores_enable_and_connect_order() {
+        let catalogue = |enable_first: bool| {
+            let mut net = Network::new();
+            let reg = Arc::new(Registry::with_clock(Arc::new(net.virtual_clock())));
+            net.attach_registry(Arc::clone(&reg));
+            let ids: Vec<NodeId> = ["a", "b", "c"].iter().map(|n| net.add_node(*n)).collect();
+            if enable_first {
+                net.enable_link_monitors(4, 1_000);
+            }
+            net.connect(ids[0], ids[1], LinkParams::lan());
+            net.connect(ids[1], ids[2], LinkParams::lan());
+            if !enable_first {
+                net.enable_link_monitors(4, 1_000);
+            }
+            // A node joining after the links were monitored re-strides the
+            // matrix; the existing monitors must survive it.
+            let d = net.add_node("d");
+            net.connect(ids[2], d, LinkParams::lan());
+            reg.snapshot().to_text()
+        };
+        let text = catalogue(true);
+        assert!(text.contains("simnet.link.a->b.bandwidth_bps"), "{text}");
+        assert!(text.contains("simnet.link.d->c.rtt_ns"), "{text}");
+        assert_eq!(text, catalogue(false));
     }
 
     #[test]

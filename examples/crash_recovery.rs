@@ -24,7 +24,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use echo::{EchoSystem, EchoVersion, ProcessId, Role};
+use echo::{EchoConfig, EchoSystem, EchoVersion, ProcessId, Role};
 use pbio::{FormatBuilder, RecordFormat, Value};
 use simnet::LinkParams;
 
@@ -47,12 +47,13 @@ fn tick(n: i64) -> Value {
 /// can gate on them.
 fn recovery_smoke() {
     let fmt = tick_format();
-    let mut sys = EchoSystem::new();
+    let mut sys =
+        EchoSystem::with_config(EchoConfig { journal_batch: Some(4), ..EchoConfig::default() })
+            .expect("valid config");
     let creator = sys.add_process("creator", EchoVersion::V2);
     let publisher = sys.add_process("publisher", EchoVersion::V2);
     let sink = sys.add_process("sink", EchoVersion::V2);
     sys.connect_all(LinkParams::lan());
-    sys.enable_journaling(4);
     let ch = sys.create_channel(creator);
     sys.subscribe(publisher, ch, Role::source(), None).expect("subscribe source");
     sys.subscribe(sink, ch, Role::sink(), Some(&fmt)).expect("subscribe sink");
@@ -125,7 +126,11 @@ struct Rig {
 /// One publisher fanning out to `sinks` subscribers, journaled or bare.
 fn build(sinks: usize, journaled: bool) -> Rig {
     let fmt = tick_format();
-    let mut sys = EchoSystem::new();
+    // A realistic fsync batch: Sent entries are WAL-forced anyway; the
+    // batch only paces acks and watermarks.
+    let journal_batch = journaled.then_some(64);
+    let mut sys = EchoSystem::with_config(EchoConfig { journal_batch, ..EchoConfig::default() })
+        .expect("valid config");
     sys.set_tracing(false); // data-plane mode, as the other benches run
     let publisher = sys.add_process("publisher", EchoVersion::V2);
     let subs: Vec<ProcessId> = (0..sinks)
@@ -135,11 +140,6 @@ fn build(sinks: usize, journaled: bool) -> Rig {
             s
         })
         .collect();
-    if journaled {
-        // A realistic fsync batch: Sent entries are WAL-forced anyway; the
-        // batch only paces acks and watermarks.
-        sys.enable_journaling(64);
-    }
     let ch = sys.create_channel(publisher);
     for &s in &subs {
         sys.subscribe(s, ch, Role::sink(), Some(&fmt)).expect("subscribe");

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use echo::telemetry::telemetry_format_v2;
-use echo::{EchoSystem, EchoVersion, ProcessId, Role};
+use echo::{EchoConfig, EchoSystem, EchoVersion, ProcessId, Role};
 use morph::Transformation;
 use pbio::{FormatBuilder, RecordFormat, Value};
 use simnet::LinkParams;
@@ -103,7 +103,16 @@ struct Rig {
 fn build(monitored: bool) -> Rig {
     let src = src_format();
     let dst = dst_format();
-    let mut sys = EchoSystem::new();
+    let config = if monitored {
+        EchoConfig {
+            link_monitors: Some((8, 1_000_000)),
+            adaptive_shedding: true,
+            ..EchoConfig::default()
+        }
+    } else {
+        EchoConfig::default()
+    };
+    let mut sys = EchoSystem::with_config(config).expect("valid config");
     sys.set_tracing(false); // data-plane mode, as the other benches run
     let publisher = sys.add_process("publisher", EchoVersion::V2);
     let sink = sys.add_process("sink", EchoVersion::V2);
@@ -124,8 +133,6 @@ fn build(monitored: bool) -> Rig {
     if monitored {
         let tele = sys.create_channel(publisher);
         sys.subscribe(sink, tele, Role::sink(), Some(&telemetry_format_v2())).expect("subscribe");
-        sys.enable_link_monitors(8, 1_000_000);
-        sys.enable_adaptive_shedding();
         // 10ms of virtual time per report: frequent enough to exercise the
         // pump every round, sparse enough that the reports themselves (each
         // one a registry snapshot + a published frame) stay a trace gas in

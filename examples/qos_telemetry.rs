@@ -32,8 +32,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sample = |seq: i64| Value::Record(vec![Value::Int(seq), Value::Int(seq * 10)]);
 
     // One publisher, one sink, one link — and two channels over it with
-    // different delivery tiers.
-    let mut sys = EchoSystem::new();
+    // different delivery tiers. ~440-byte commands split into 64-byte
+    // fragments; samples fit in one frame and never touch the
+    // fragmentation path. 8 commands × 7 fragments stays inside the
+    // 64-frame retry queue, so the outage queues every reliable frame
+    // instead of shedding any.
+    let mut sys =
+        EchoSystem::with_config(EchoConfig { frame_budget: Some(64), ..EchoConfig::default() })?;
     let creator = sys.add_process("creator", EchoVersion::V2);
     let publisher = sys.add_process("publisher", EchoVersion::V2);
     let sink = sys.add_process("sink", EchoVersion::V2);
@@ -48,11 +53,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     sys.set_channel_qos(control, QosTier::Reliable);
     sys.set_channel_qos(telemetry, QosTier::UnorderedUnreliable);
-    // ~440-byte commands split into 64-byte fragments; samples fit in one
-    // frame and never touch the fragmentation path. 8 commands × 7
-    // fragments stays inside the 64-frame retry queue, so the outage
-    // queues every reliable frame instead of shedding any.
-    sys.set_frame_budget(Some(64));
 
     // The same fault plan covers both channels: the link partitions for
     // 10 ms of virtual time starting now.

@@ -67,7 +67,7 @@ pub use xmlt;
 
 /// Commonly used items from every subsystem.
 pub mod prelude {
-    pub use echo::{ChannelId, EchoSystem, EchoVersion, QosTier, Role};
+    pub use echo::{ChannelId, EchoConfig, EchoSystem, EchoVersion, QosTier, Role};
     pub use ecode::{EcodeCompiler, EcodeProgram};
     pub use morph::{diff, max_match, mismatch_ratio, MatchConfig, MorphReceiver, Transformation};
     pub use obs::{Registry, Snapshot};

@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
-use echo::{proto, EchoSystem, EchoVersion, Role};
+use echo::{proto, EchoConfig, EchoSystem, EchoVersion, Role};
 use message_morphing::prelude::*;
 use morph::{
     BreakerState, DeadLetterQueue, DeadReason, MetaServer, MorphError, PoolDelivery,
@@ -854,7 +854,16 @@ struct FragRun {
 }
 
 fn run_fragmentation_chaos(seed: u64) -> FragRun {
-    let mut sys = EchoSystem::new();
+    // Every event (~450 encoded bytes) splits into ≥5 fragments; the
+    // reassembly buffer is bounded and partial sets expire on the virtual
+    // clock.
+    let mut sys = EchoSystem::with_config(EchoConfig {
+        frame_budget: Some(96),
+        reassembly_capacity: 16,
+        reassembly_timeout_ns: FRAG_TIMEOUT_NS,
+        ..EchoConfig::default()
+    })
+    .unwrap();
     let creator = sys.add_process("creator", EchoVersion::V2);
     let publisher = sys.add_process("publisher", EchoVersion::V2);
     let sink = sys.add_process("sink", EchoVersion::V2);
@@ -866,11 +875,6 @@ fn run_fragmentation_chaos(seed: u64) -> FragRun {
     sys.subscribe(sink, ch, Role::sink(), Some(&fmt)).unwrap();
     sys.run();
 
-    // Every event (~450 encoded bytes) splits into ≥5 fragments; the
-    // reassembly buffer is bounded and partial sets expire on the virtual
-    // clock.
-    sys.set_frame_budget(Some(96));
-    sys.set_reassembly_limits(16, FRAG_TIMEOUT_NS);
     sys.set_fault_plan(
         publisher,
         sink,
@@ -1000,30 +1004,32 @@ struct OverloadRun {
 }
 
 fn run_overload_chaos(seed: u64) -> OverloadRun {
-    let mut sys = EchoSystem::new();
+    // The first backoff (10 ms + seeded jitter) outlasts the 8 ms
+    // adaptation window, so post-heal drains are judged against an
+    // arrival-free window and the relax path always runs.
+    let mut sys = EchoSystem::with_config(EchoConfig {
+        retry_policy: RetryPolicy {
+            budget: 8,
+            base_backoff_ns: 10_000_000,
+            max_backoff_ns: 50_000_000,
+            jitter_seed: seed,
+        },
+        retry_queue_capacity: OVERLOAD_RETRY_CAP,
+        adaptive_shedding: true,
+        link_monitors: Some((8, 1_000_000)),
+        ..EchoConfig::default()
+    })
+    .unwrap();
     let creator = sys.add_process("creator", EchoVersion::V2);
     let publisher = sys.add_process("publisher", EchoVersion::V2);
     let sink = sys.add_process("sink", EchoVersion::V2);
     sys.connect_all(LinkParams::lan());
-    sys.enable_link_monitors(8, 1_000_000);
 
     let fmt = tick_format();
     let ch = sys.create_channel(creator);
     sys.subscribe(publisher, ch, Role::source(), None).unwrap();
     sys.subscribe(sink, ch, Role::sink(), Some(&fmt)).unwrap();
     sys.run();
-
-    // The first backoff (10 ms + seeded jitter) outlasts the 8 ms
-    // adaptation window, so post-heal drains are judged against an
-    // arrival-free window and the relax path always runs.
-    sys.set_retry_queue_capacity(OVERLOAD_RETRY_CAP);
-    sys.set_retry_policy(RetryPolicy {
-        budget: 8,
-        base_backoff_ns: 10_000_000,
-        max_backoff_ns: 50_000_000,
-        jitter_seed: seed,
-    });
-    sys.enable_adaptive_shedding();
 
     // Partition the event path, then ramp the offered load: each round
     // publishes a bigger burst while the drain rate is pinned at zero.
@@ -1147,16 +1153,17 @@ struct StormRun {
 }
 
 fn run_crash_restart_storm(seed: u64) -> StormRun {
-    let mut sys = EchoSystem::new();
-    let creator = sys.add_process("creator", EchoVersion::V2);
-    let publisher = sys.add_process("publisher", EchoVersion::V2);
-    let sink = sys.add_process("sink", EchoVersion::V2);
-    sys.connect_all(LinkParams::lan());
     // The durable journal is what carries exactly-once across the crashes:
     // Sent/Seen entries are WAL-forced, acks and watermarks ride a 4-entry
     // fsync batch (losing one only costs a redundant, dedup-absorbed
     // redelivery).
-    sys.enable_journaling(4);
+    let mut sys =
+        EchoSystem::with_config(EchoConfig { journal_batch: Some(4), ..EchoConfig::default() })
+            .unwrap();
+    let creator = sys.add_process("creator", EchoVersion::V2);
+    let publisher = sys.add_process("publisher", EchoVersion::V2);
+    let sink = sys.add_process("sink", EchoVersion::V2);
+    sys.connect_all(LinkParams::lan());
 
     let fmt = tick_format();
     let ch = sys.create_channel(creator);

@@ -19,7 +19,10 @@
 
 use std::sync::Arc;
 
-use echo::{ChannelId, Driver, EchoSystem, EchoVersion, Role, VirtualTimeDriver, WallClockDriver};
+use echo::{
+    ChannelId, Driver, EchoConfig, EchoSystem, EchoVersion, Role, VirtualTimeDriver,
+    WallClockDriver,
+};
 use pbio::{FormatBuilder, RecordFormat, Value};
 use simnet::{FaultPlan, LinkParams};
 
@@ -162,12 +165,13 @@ fn recovery_triangle(
     driver: &mut dyn Driver,
 ) -> (EchoSystem, echo::ProcessId, echo::ProcessId, echo::ProcessId, ChannelId) {
     let fmt = tick_format();
-    let mut sys = EchoSystem::new();
+    let mut sys =
+        EchoSystem::with_config(EchoConfig { journal_batch: Some(4), ..EchoConfig::default() })
+            .unwrap();
     let creator = sys.add_process("creator", EchoVersion::V2);
     let publisher = sys.add_process("publisher", EchoVersion::V2);
     let sink = sys.add_process("sink", EchoVersion::V2);
     sys.connect_all(LinkParams::lan());
-    sys.enable_journaling(4);
     let ch = sys.create_channel(creator);
     sys.subscribe(publisher, ch, Role::source(), None).unwrap();
     sys.subscribe(sink, ch, Role::sink(), Some(&fmt)).unwrap();

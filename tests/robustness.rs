@@ -289,3 +289,147 @@ fn mutated_fig5_never_panics() {
         }
     });
 }
+
+/// Canonical-form tags of `pbio::serialize_format` the hostile inputs
+/// below are built from.
+const TAG_INT: u8 = 1;
+const TAG_ENUM: u8 = 5;
+const TAG_RECORD: u8 = 7;
+const TAG_ARRAY_FIXED: u8 = 8;
+
+/// Meta-data of record `""` with one field `""` whose type is a chain of
+/// `depth - 1` nested levels (fixed arrays or records, by `kinds`) around
+/// an `int`: `depth` levels counting the outer record.
+fn nested_metadata(depth: usize, mut kinds: impl FnMut() -> bool) -> Vec<u8> {
+    let mut out = vec![0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0];
+    for _ in 1..depth {
+        if kinds() {
+            out.push(TAG_ARRAY_FIXED);
+            out.extend_from_slice(&1u64.to_le_bytes());
+        } else {
+            // A one-field record whose field carries the next level.
+            out.push(TAG_RECORD);
+            out.extend_from_slice(&[0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]);
+        }
+    }
+    out.extend_from_slice(&[TAG_INT, 4]);
+    out
+}
+
+/// A field count of `u32::MAX` in 8 bytes of meta-data is refused before
+/// anything is reserved for the fields — through every entry point that
+/// reads format meta-data off the wire.
+#[test]
+fn hostile_field_count_in_format_metadata_is_an_error() {
+    let hostile = [0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff];
+    assert!(pbio::deserialize_format(&hostile).is_err());
+    let mut export = vec![1, 0, 0, 0, hostile.len() as u8, 0, 0, 0];
+    export.extend_from_slice(&hostile);
+    assert!(FormatRegistry::new().import(&export).is_err());
+    let mut response = vec![morph::metaserver::RESP_FORMAT, hostile.len() as u8, 0, 0, 0];
+    response.extend_from_slice(&hostile);
+    assert!(MetaClient::parse_format(&response).is_err());
+    // The same bound covers enum variant counts.
+    let mut variants = vec![0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, TAG_ENUM, 0, 0, 0, 0];
+    variants.extend_from_slice(&[0xff, 0xff, 0xff, 0xff]);
+    assert!(pbio::deserialize_format(&variants).is_err());
+}
+
+/// 200k nested fixed arrays (~1.8 MB) are refused at the nesting bound
+/// instead of recursing until the stack overflows.
+#[test]
+fn deeply_nested_format_metadata_is_an_error() {
+    let hostile = nested_metadata(200_000, || true);
+    assert!(hostile.len() > 1_800_000);
+    assert!(matches!(pbio::deserialize_format(&hostile), Err(pbio::PbioError::BadData(_))));
+    let mut response = vec![morph::metaserver::RESP_FORMAT];
+    response.extend_from_slice(&(hostile.len() as u32).to_le_bytes());
+    response.extend_from_slice(&hostile);
+    assert!(MetaClient::parse_format(&response).is_err());
+}
+
+/// A transformations response claiming `u32::MAX` entries in 5 bytes is
+/// refused before anything is reserved for them.
+#[test]
+fn hostile_transformation_count_is_an_error() {
+    let response = [morph::metaserver::RESP_XFORMS, 0xff, 0xff, 0xff, 0xff];
+    assert!(MetaClient::parse_transformations(&response).is_err());
+}
+
+/// Nesting up to [`pbio::MAX_META_DEPTH`] levels parses; one more is
+/// refused, whatever mix of records and arrays builds the chain.
+#[test]
+fn format_metadata_nesting_bound_is_exact() {
+    for_cases("format_metadata_nesting_bound_is_exact", |rng| {
+        let depth = 1 + rng.below(2 * pbio::MAX_META_DEPTH as u64) as usize;
+        let meta = nested_metadata(depth, || rng.below(2) == 0);
+        let parsed = pbio::deserialize_format(&meta);
+        assert_eq!(parsed.is_ok(), depth <= pbio::MAX_META_DEPTH, "depth {depth}: {parsed:?}");
+    });
+}
+
+fn random_width(rng: &mut XorShift64, choices: &[usize]) -> pbio::Width {
+    pbio::Width::from_bytes(choices[rng.below(choices.len() as u64) as usize]).unwrap()
+}
+
+/// A random field type legal after the fields `earlier`, nesting at most
+/// `depth` more levels.
+fn random_type(rng: &mut XorShift64, depth: usize, earlier: &[pbio::Field]) -> pbio::FieldType {
+    use pbio::{ArrayLen, BasicType, FieldType};
+    let kinds = if depth == 0 { 6 } else { 9 };
+    match rng.below(kinds) {
+        0 => FieldType::Basic(BasicType::Int(random_width(rng, &[1, 2, 4, 8]))),
+        1 => FieldType::Basic(BasicType::UInt(random_width(rng, &[1, 2, 4, 8]))),
+        2 => FieldType::Basic(BasicType::Float(random_width(rng, &[4, 8]))),
+        3 => FieldType::Basic(BasicType::Char),
+        4 => FieldType::Basic(BasicType::String),
+        5 => FieldType::Basic(BasicType::Enum {
+            name: rng.text(6),
+            variants: (0..1 + rng.below(3))
+                .map(|i| pbio::EnumVariant { name: format!("v{i}"), discriminant: i as i32 })
+                .collect(),
+        }),
+        6 => FieldType::Record(Arc::new(random_format(rng, depth - 1))),
+        kind => {
+            let counts: Vec<&pbio::Field> = earlier
+                .iter()
+                .filter(|f| matches!(f.ty(), FieldType::Basic(BasicType::Int(_))))
+                .collect();
+            let len = match counts.first() {
+                Some(f) if kind == 8 => ArrayLen::LengthField(f.name().to_string()),
+                _ => ArrayLen::Fixed(rng.below(5) as usize),
+            };
+            FieldType::Array { elem: Box::new(random_type(rng, depth - 1, earlier)), len }
+        }
+    }
+}
+
+/// A random valid record format nesting at most `depth` more levels.
+fn random_format(rng: &mut XorShift64, depth: usize) -> RecordFormat {
+    let mut fields = Vec::new();
+    for i in 0..1 + rng.below(4) {
+        let ty = random_type(rng, depth, &fields);
+        fields.push(pbio::Field::new(format!("f{i}"), ty));
+    }
+    RecordFormat::new(rng.text(8), fields).unwrap()
+}
+
+/// `deserialize ∘ serialize` is the identity on valid formats, and every
+/// truncation or one-byte corruption of their meta-data parses to `Ok` or
+/// `Err` — never a panic, an abort, or a runaway allocation.
+#[test]
+fn format_metadata_round_trips_and_its_mutations_never_panic() {
+    for_cases("format_metadata_round_trips_and_its_mutations_never_panic", |rng| {
+        let depth = 1 + rng.below(4) as usize;
+        let fmt = random_format(rng, depth);
+        let meta = pbio::serialize_format(&fmt);
+        assert_eq!(pbio::deserialize_format(&meta).as_ref(), Ok(&fmt));
+        let cut = rng.below(meta.len() as u64) as usize;
+        assert!(pbio::deserialize_format(&meta[..cut]).is_err(), "a strict prefix is incomplete");
+        let mut mutated = meta.clone();
+        let idx = rng.below(mutated.len() as u64) as usize;
+        mutated[idx] = rng.next_u64() as u8;
+        let _ = pbio::deserialize_format(&mutated);
+        let _ = pbio::deserialize_format(&mutated[..cut.max(idx)]);
+    });
+}

@@ -19,8 +19,8 @@
 use std::sync::Arc;
 
 use echo::{
-    shard_of_name, ChannelId, Driver, EchoSystem, EchoVersion, ProcessId, Role, VirtualTimeDriver,
-    WallClockDriver,
+    shard_of_name, ChannelId, Driver, EchoConfig, EchoSystem, EchoVersion, ProcessId, Role,
+    VirtualTimeDriver, WallClockDriver,
 };
 use morph::Transformation;
 use pbio::{FormatBuilder, RecordFormat, Value};
@@ -65,28 +65,33 @@ fn shard_assignment_is_a_pure_function_of_name_and_count() {
 
 #[test]
 fn system_shard_of_agrees_with_the_standalone_hash() {
-    let mut sys = EchoSystem::new();
-    sys.set_shards(4);
-    let procs: Vec<(ProcessId, String)> = names(32, 7)
-        .into_iter()
-        .map(|n| (sys.add_process(n.clone(), EchoVersion::V2), n))
-        .collect();
-    for (p, name) in &procs {
-        assert_eq!(sys.shard_of(*p), shard_of_name(name, 4));
+    // Each system delivers one event to each of 32 sinks on 4 shards; its
+    // per-shard frame counters show where it placed every sink.
+    let per_shard_frames = |names: &[String]| -> Vec<u64> {
+        let fmt = FormatBuilder::record("Tick").int("n").build_arc().unwrap();
+        let mut sys = EchoSystem::new();
+        let c = sys.add_process("creator", EchoVersion::V2);
+        let ch = sys.create_channel(c);
+        for name in names {
+            let s = sys.add_process(name.clone(), EchoVersion::V2);
+            sys.connect(c, s, LinkParams::lan());
+            sys.provision_sink(s, ch, &fmt).unwrap();
+        }
+        sys.publish(c, ch, &fmt, &Value::Record(vec![Value::Int(1)])).unwrap();
+        assert_eq!(sys.run_with(&mut WallClockDriver::new(4)), names.len());
+        let snap = sys.registry().snapshot();
+        (0..4).map(|i| snap.counter(&format!("echo.shard.{i}.frames")).unwrap_or(0)).collect()
+    };
+    let population = names(32, 7);
+    let mut expected = vec![0u64; 4];
+    for name in &population {
+        expected[shard_of_name(name, 4)] += 1;
     }
+    assert_eq!(per_shard_frames(&population), expected);
     // A second system with the same names in a different order places
     // every process identically.
-    let mut other = EchoSystem::new();
-    other.set_shards(4);
-    let mut reversed: Vec<(ProcessId, String)> = names(32, 7)
-        .into_iter()
-        .rev()
-        .map(|n| (other.add_process(n.clone(), EchoVersion::V2), n))
-        .collect();
-    reversed.reverse();
-    for ((a, name), (b, _)) in procs.iter().zip(&reversed) {
-        assert_eq!(sys.shard_of(*a), other.shard_of(*b), "placement of {name} diverged");
-    }
+    let reversed: Vec<String> = population.iter().rev().cloned().collect();
+    assert_eq!(per_shard_frames(&reversed), expected);
 }
 
 fn old_fmt() -> Arc<RecordFormat> {
@@ -226,7 +231,8 @@ fn blob(n: i64) -> Value {
 /// events published but not yet run; a 64-byte frame budget forces every
 /// event through the fragmentation path.
 fn loaded_frag_fanout(sinks: usize, events: i64) -> (EchoSystem, Vec<ProcessId>) {
-    let mut sys = EchoSystem::new();
+    let cfg = EchoConfig { frame_budget: Some(64), ..EchoConfig::default() };
+    let mut sys = EchoSystem::with_config(cfg).unwrap();
     let fmt = blob_fmt();
     let c = sys.add_process("creator", EchoVersion::V2);
     let ch = sys.create_channel(c);
@@ -239,7 +245,6 @@ fn loaded_frag_fanout(sinks: usize, events: i64) -> (EchoSystem, Vec<ProcessId>)
         })
         .collect();
     sys.run_with(&mut VirtualTimeDriver);
-    sys.set_frame_budget(Some(64));
     for n in 0..events {
         sys.publish(c, ch, &fmt, &blob(n)).unwrap();
     }
